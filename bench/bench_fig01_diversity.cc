@@ -39,7 +39,7 @@ main(int argc, char **argv)
             platformByName(service->defaultPlatform);
         CounterSet c = productionCounters(*service, opts);
         ServiceOperatingPoint op =
-            solveOperatingPoint(*service, platform, c, opts.seed);
+            solveOperatingPoint(*service, platform, opts.seed);
         traits[0].values.push_back(service->request.peakQps);
         traits[1].values.push_back(service->request.requestLatencySec);
         traits[2].values.push_back(op.cpuUtilization);

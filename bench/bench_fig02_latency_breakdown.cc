@@ -28,9 +28,8 @@ main(int argc, char **argv)
         const WorkloadProfile &service = serviceByName(name);
         const PlatformSpec &platform =
             platformByName(service.defaultPlatform);
-        CounterSet counters = productionCounters(service, opts);
         ServiceOperatingPoint op =
-            solveOperatingPoint(service, platform, counters, opts.seed);
+            solveOperatingPoint(service, platform, opts.seed);
         if (service.name == "web")
             webPool = op.pool;
         double running = op.pool.runningShare() * 100.0;

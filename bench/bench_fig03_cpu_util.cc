@@ -22,9 +22,8 @@ main(int argc, char **argv)
     for (const WorkloadProfile *service : allMicroservices()) {
         const PlatformSpec &platform =
             platformByName(service->defaultPlatform);
-        CounterSet counters = productionCounters(*service, opts);
         ServiceOperatingPoint op =
-            solveOperatingPoint(*service, platform, counters, opts.seed);
+            solveOperatingPoint(*service, platform, opts.seed);
         double user = op.userUtilization * 100.0;
         double kernel = op.kernelUtilization * 100.0;
         table.row({service->displayName, format("%.0f", user),

@@ -126,7 +126,7 @@ main(int argc, char **argv)
     CounterSet counters =
         simulateService(service, platform, production, SimOptions{});
     ServiceOperatingPoint op =
-        solveOperatingPoint(service, platform, counters, seed);
+        solveOperatingPoint(service, platform, seed);
 
     TextTable table;
     table.header({"metric", "value"});

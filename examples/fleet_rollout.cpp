@@ -82,8 +82,6 @@ main(int argc, char **argv)
     SimOptions simOpts;
     simOpts.warmupInstructions = 600'000;
     simOpts.measureInstructions = 800'000;
-    if (tool.simCore == "scalar")
-        simOpts.core = SimCoreKind::Scalar;
     ProductionEnvironment env(service, platform, seed, simOpts);
 
     // Fault arming (and the hostile robustness escalation) now rides

@@ -57,8 +57,6 @@ main(int argc, char **argv)
     SimOptions simOpts;
     simOpts.warmupInstructions = 600'000;
     simOpts.measureInstructions = 800'000;
-    if (tool.simCore == "scalar")
-        simOpts.core = SimCoreKind::Scalar;
 
     std::vector<TuneTarget> targets = TuneTarget::parseList(
         args.get("targets", "web:skylake18,ads1:skylake18,"

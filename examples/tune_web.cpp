@@ -101,8 +101,6 @@ main(int argc, char **argv)
     SimOptions simOpts;
     simOpts.warmupInstructions = 700'000;
     simOpts.measureInstructions = 900'000;
-    if (tool.simCore == "scalar")
-        simOpts.core = SimCoreKind::Scalar;
     ProductionEnvironment env(service, platform, spec.seed, simOpts);
 
     // Fault arming, robustness escalation, shared pool sizing, and the

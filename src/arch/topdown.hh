@@ -29,7 +29,7 @@ struct PipelineCosts
                backEndStallCycles;
     }
 
-    /** Exact equality — the batched/scalar bit-identity tests' probe. */
+    /** Exact equality, so whole results can be compared bit for bit. */
     bool operator==(const PipelineCosts &) const = default;
 };
 
@@ -47,7 +47,7 @@ struct TopDownBreakdown
         return retiring + frontEnd + badSpeculation + backEnd;
     }
 
-    /** Exact equality — the batched/scalar bit-identity tests' probe. */
+    /** Exact equality, so whole results can be compared bit for bit. */
     bool operator==(const TopDownBreakdown &) const = default;
 };
 

@@ -68,8 +68,6 @@ SoftSkuGenerator::validate(ProductionEnvironment &env,
 
     // Resolve both ground truths once up front; this also warms the
     // shared simulation cache before chunks fan out across workers.
-    // Any missing configurations go through the batched core together.
-    env.prepareConfigs({reference, softSku}, metrics);
     const double trueRef = env.trueMips(reference);
     const double trueSku = env.trueMips(softSku);
 

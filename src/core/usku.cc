@@ -326,8 +326,6 @@ Usku::run(const InputSpec &specIn)
     report.softSku = generator.compose(report.map);
     configsThisRun_.insert(report.softSku.canonical(platform).describe());
 
-    env_.prepareConfigs(
-        {report.production, report.stock, report.softSku}, &metrics_);
     report.productionMips = env_.trueMips(report.production);
     report.stockMips = env_.trueMips(report.stock);
     report.softSkuMips = env_.trueMips(report.softSku);
@@ -513,21 +511,6 @@ Usku::evaluateKeyed(const std::vector<Comparison> &batch,
         }
         seenInBatch.emplace(key, i);
         pending.push_back(Pending{i, streamIdFor(key)});
-    }
-
-    // Every configuration this batch will measure is known up front, so
-    // simulate the cache misses together through the batched core (one
-    // lane per configuration) before the comparisons fan out.  The
-    // worker tasks then find every truth already cached; with
-    // SimCoreKind::Scalar this is a no-op and they simulate lazily.
-    if (!pending.empty()) {
-        std::vector<KnobConfig> prep;
-        prep.reserve(pending.size() * 2);
-        for (const Pending &p : pending) {
-            prep.push_back(batch[p.slot].baseline);
-            prep.push_back(batch[p.slot].candidate);
-        }
-        env_.prepareConfigs(prep, &metrics_);
     }
 
     const RobustnessPolicy &robust = options_.robustness;

@@ -63,7 +63,7 @@ struct MemoryOperatingPoint
     /** >1 when demand exceeds deliverable bandwidth (stall inflation). */
     double backpressure = 1.0;
 
-    /** Exact equality — the batched/scalar bit-identity tests' probe. */
+    /** Exact equality, so whole results can be compared bit for bit. */
     bool operator==(const MemoryOperatingPoint &) const = default;
 };
 

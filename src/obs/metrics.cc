@@ -73,6 +73,7 @@ MetricsRegistry::Counter &
 MetricsRegistry::counter(const std::string &name, MetricScope scope)
 {
     Entry &entry = entryFor(name, MetricRow::Kind::Counter, scope);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (!entry.counter)
         entry.counter = std::make_unique<Counter>();
     return *entry.counter;
@@ -82,6 +83,7 @@ MetricsRegistry::Gauge &
 MetricsRegistry::gauge(const std::string &name, MetricScope scope)
 {
     Entry &entry = entryFor(name, MetricRow::Kind::Gauge, scope);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (!entry.gauge)
         entry.gauge = std::make_unique<Gauge>();
     return *entry.gauge;
@@ -92,6 +94,7 @@ MetricsRegistry::histogram(const std::string &name, MetricScope scope,
                            double minValue, double maxValue)
 {
     Entry &entry = entryFor(name, MetricRow::Kind::Histogram, scope);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (!entry.histogram)
         entry.histogram = std::make_unique<Histogram>(minValue, maxValue);
     return *entry.histogram;

@@ -99,9 +99,9 @@ struct CounterSet
     }
 
     /**
-     * Exact (bitwise-value) equality over every field.  This is the
-     * probe the SimBatch golden tests use to assert that the batched
-     * simulator core reproduces scalar runs bit for bit.
+     * Exact (bitwise-value) equality over every field: the probe the
+     * determinism tests use to assert a rerun reproduces a simulation
+     * bit for bit.
      */
     bool operator==(const CounterSet &) const = default;
 };

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "sim/batched_core.hh"
 #include "util/logging.hh"
 
 namespace softsku {
@@ -60,47 +59,6 @@ ProductionEnvironment::counters(const KnobConfig &config)
     return cache_->entries.emplace(std::move(key), result).first->second;
 }
 
-void
-ProductionEnvironment::prepareConfigs(const std::vector<KnobConfig> &configs,
-                                      MetricsRegistry *metrics)
-{
-    if (simOpts_.core == SimCoreKind::Scalar)
-        return;
-
-    // Dedupe to canonical configurations the cache does not hold yet.
-    // The probe and the final insert take the lock; the simulations
-    // themselves run outside it, like the lazy path.
-    std::vector<std::pair<std::string, KnobConfig>> missing;
-    {
-        std::lock_guard<std::mutex> lock(cache_->mutex);
-        for (const KnobConfig &config : configs) {
-            KnobConfig canonical = config.canonical(platform_);
-            std::string key = canonical.describe();
-            if (cache_->entries.count(key))
-                continue;
-            bool seen = false;
-            for (const auto &[k, c] : missing)
-                seen = seen || k == key;
-            if (!seen)
-                missing.emplace_back(std::move(key), canonical);
-        }
-    }
-    if (missing.empty())
-        return;
-
-    SimOptions opts = simOpts_;
-    opts.seed = seed_;
-    std::vector<SimJob> jobs;
-    jobs.reserve(missing.size());
-    for (const auto &[key, canonical] : missing)
-        jobs.push_back(SimJob{&profile_, &platform_, canonical, opts});
-    std::vector<CounterSet> results = runSimBatch(jobs, 0, metrics);
-
-    std::lock_guard<std::mutex> lock(cache_->mutex);
-    for (size_t i = 0; i < missing.size(); ++i)
-        cache_->entries.emplace(missing[i].first, results[i]);
-}
-
 size_t
 ProductionEnvironment::configsSimulated() const
 {
@@ -132,12 +90,11 @@ ProductionEnvironment::operatingPoint(const KnobConfig &config)
         if (it != cache_->operatingPoints.end())
             return it->second;
     }
-    // The counter lookup may itself simulate (outside our lock); the
-    // QoS solve happens outside the lock too so concurrent guardrail
-    // checks for distinct configs overlap.
-    const CounterSet &stats = counters(config);
+    // The QoS solve happens outside the lock so concurrent guardrail
+    // checks for distinct configs overlap.  It needs no simulation, so
+    // a candidate the guardrail aborts is never simulated.
     ServiceOperatingPoint op = solveOperatingPoint(
-        profile_, platform_, stats, seed_, canonical.activeCores);
+        profile_, platform_, seed_, canonical.activeCores);
     std::lock_guard<std::mutex> lock(cache_->mutex);
     return cache_->operatingPoints.emplace(std::move(key), op)
         .first->second;

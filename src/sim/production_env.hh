@@ -36,8 +36,6 @@
 
 namespace softsku {
 
-class MetricsRegistry;
-
 /** One paired A/B observation (same instant, same fleet load). */
 struct PairedSample
 {
@@ -87,20 +85,6 @@ class ProductionEnvironment
 
     /** Full counter set for a configuration (cached with the truth). */
     const CounterSet &counters(const KnobConfig &config);
-
-    /**
-     * Batch-simulate every configuration in @p configs that is not yet
-     * in the truth cache, through the batched simulator core (SIMD RNG
-     * lanes; see sim/batched_core.hh).  Results are bit-identical to
-     * the lazy scalar path, so this is purely a throughput lever for
-     * driver-thread call sites that know the configurations an
-     * evaluation round will need.  No-op when the environment's
-     * SimOptions select SimCoreKind::Scalar.
-     *
-     * @p metrics receives the batch's Operational gauges (may be null).
-     */
-    void prepareConfigs(const std::vector<KnobConfig> &configs,
-                        MetricsRegistry *metrics = nullptr);
 
     /**
      * Solved peak operating point (QoS-bounded) for a configuration;

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "arch/platform.hh"
-#include "core/knobs.hh"
-#include "util/logging.hh"
 
 namespace softsku {
 
@@ -13,8 +11,8 @@ namespace {
 
 /** Evaluate the pool at a given arrival rate; small DES per probe. */
 ThreadPoolResult
-evaluateRate(const WorkloadProfile &profile, int cores, double threadIps,
-             double arrivalRate, std::uint64_t seed)
+evaluateRate(const WorkloadProfile &profile, int cores, double arrivalRate,
+             std::uint64_t seed)
 {
     ThreadPoolParams params;
     params.cores = cores;
@@ -26,7 +24,6 @@ evaluateRate(const WorkloadProfile &profile, int cores, double threadIps,
     // calibrated per-request latency already reflects the service's
     // production-hardware performance (the paper's Table 2 path
     // lengths are service-level, not per-request-per-server).
-    (void)threadIps;
     params.cpuTimePerRequestSec = profile.request.requestLatencySec *
                                   profile.request.runningFraction;
     params.cpuNoiseSigma = 0.35;
@@ -54,18 +51,10 @@ evaluateRate(const WorkloadProfile &profile, int cores, double threadIps,
 
 ServiceOperatingPoint
 solveOperatingPoint(const WorkloadProfile &profile,
-                    const PlatformSpec &platform,
-                    const CounterSet &counters, std::uint64_t seed,
+                    const PlatformSpec &platform, std::uint64_t seed,
                     int activeCores)
 {
     ServiceOperatingPoint op;
-
-    // Per-worker instruction throughput: a worker thread runs on one
-    // SMT context, so scale per-core MIPS back down by the SMT factor.
-    SOFTSKU_ASSERT(counters.coreIpc > 0.0);
-    double threadIps =
-        counters.mipsPerCore * 1e6 * counters.ipc / counters.coreIpc;
-    SOFTSKU_ASSERT(threadIps > 0.0);
 
     // Worker threads schedule onto hardware contexts (SMT included);
     // a core-count knob below the socket size takes contexts away.
@@ -87,13 +76,12 @@ solveOperatingPoint(const WorkloadProfile &profile,
     // and whose utilization stays below the service's cap.
     double lo = serviceRateCap * 0.02;
     double hi = serviceRateCap * 0.98;
-    ThreadPoolResult best = evaluateRate(profile, cores, threadIps, lo,
-                                         seed);
+    ThreadPoolResult best = evaluateRate(profile, cores, lo, seed);
     double bestRate = lo;
     for (int iter = 0; iter < 14; ++iter) {
         double mid = 0.5 * (lo + hi);
         ThreadPoolResult result =
-            evaluateRate(profile, cores, threadIps, mid, seed + iter + 1);
+            evaluateRate(profile, cores, mid, seed + iter + 1);
         bool ok = result.p99LatencySec <= sloSec &&
                   result.coreUtilization <= profile.cpuUtilizationCap;
         if (ok) {

@@ -16,7 +16,6 @@
 #define SOFTSKU_SIM_QOS_HH
 
 #include "os/scheduler.hh"
-#include "sim/counters.hh"
 #include "workload/profile.hh"
 
 namespace softsku {
@@ -40,10 +39,8 @@ struct ServiceOperatingPoint
 /**
  * Solve the peak-load operating point.
  *
- * @param profile  the microservice
- * @param platform the server SKU
- * @param counters    architectural simulation results for this config
- *                    (provides per-core throughput)
+ * @param profile     the microservice
+ * @param platform    the server SKU
  * @param seed        determinism seed for the DES
  * @param activeCores cores the configuration leaves online (isolcpus);
  *                    0 means the full socket.  Fewer cores means fewer
@@ -51,7 +48,6 @@ struct ServiceOperatingPoint
  */
 ServiceOperatingPoint solveOperatingPoint(const WorkloadProfile &profile,
                                           const PlatformSpec &platform,
-                                          const CounterSet &counters,
                                           std::uint64_t seed = 1,
                                           int activeCores = 0);
 

@@ -31,20 +31,6 @@
 
 namespace softsku {
 
-/**
- * Which simulator core executes a batch of configurations.  Scalar runs
- * each configuration through simulateService() one at a time; Batched
- * runs lane groups through BatchedSimCore with the SIMD RNG bank
- * feeding every lane its exact scalar substream.  The two produce
- * bit-identical CounterSets by construction (pinned by the SimBatch
- * golden tests), so Batched is the default.
- */
-enum class SimCoreKind
-{
-    Scalar,
-    Batched,
-};
-
 /** Window sizing and seeding for one simulation. */
 struct SimOptions
 {
@@ -63,8 +49,6 @@ struct SimOptions
     bool llcLru = false;
     /** Ablation: disable foreign-core LLC interference injection. */
     bool disableInterference = false;
-    /** Core used for batch evaluation (single simulations stay scalar). */
-    SimCoreKind core = SimCoreKind::Batched;
 };
 
 /**

@@ -39,7 +39,7 @@ struct TlbStats
 
     void clear() { *this = TlbStats(); }
 
-    /** Exact equality — the batched/scalar bit-identity tests' probe. */
+    /** Exact equality, so whole results can be compared bit for bit. */
     bool operator==(const TlbStats &) const = default;
 };
 

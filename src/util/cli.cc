@@ -127,12 +127,6 @@ ToolOptions::fromArgs(const CliArgs &args, unsigned defaultJobs)
         static_cast<std::uint64_t>(args.getInt("fault-seed", 1));
     opts.domains = args.get("domains");
     opts.cacheDir = args.get("cache-dir");
-    opts.simCore = args.get("sim-core");
-    if (!opts.simCore.empty() && opts.simCore != "batched" &&
-        opts.simCore != "scalar") {
-        fatal("flag --sim-core expects batched|scalar, got '%s'",
-              opts.simCore.c_str());
-    }
     opts.emitDir = args.get("emit");
     opts.traceOut = args.get("trace-out");
     opts.metrics = args.has("metrics");

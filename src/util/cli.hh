@@ -84,9 +84,6 @@ class CliArgs
  *   --cache-dir=PATH   persistent A/B memo cache directory
  *   --emit=DIR         write one dashboard JSON per target into DIR
  *                      (<service>.<platform>.v<schema>.json)
- *   --sim-core=KIND    ground-truth simulator core: batched (default;
- *                      SIMD-lane batches, bit-identical to scalar) or
- *                      scalar (the legacy one-at-a-time path)
  *   --trace-out=PATH   Chrome trace_event export
  *   --metrics          print the flight-recorder table on exit
  *   --progress         live sweep progress line (stderr)
@@ -125,14 +122,6 @@ struct ToolOptions
      */
     std::string domains;
     std::string cacheDir;
-    /**
-     * Simulator-core selection ("batched" or "scalar"; empty means
-     * batched).  Held as a string — the util layer cannot see sim's
-     * SimCoreKind — and applied to SimOptions::core at the point of
-     * use.  The two cores are bit-identical by contract; scalar exists
-     * as an escape hatch and for A/B-ing the cores themselves.
-     */
-    std::string simCore;
     /**
      * Dashboard-emission directory (--emit=DIR); empty disables.  Each
      * target writes `<service>.<platform>.v<schema>.json` here — a

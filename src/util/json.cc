@@ -268,6 +268,14 @@ Json::dump(int indent) const
 
 namespace {
 
+/**
+ * Nesting limit for arrays and objects.  The library's own documents
+ * nest under ten levels; the cap keeps a hostile or corrupt file (say,
+ * a cache file of 100 000 '[') from overflowing the stack, and turns it
+ * into an ordinary parse error.
+ */
+constexpr int kMaxDepth = 512;
+
 /** Recursive-descent JSON parser over a string_view cursor. */
 class Parser
 {
@@ -332,10 +340,14 @@ class Parser
         if (pos_ >= text_.size())
             return fail("unexpected end of input");
         char c = text_[pos_];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth)
+                return fail("nesting deeper than the limit");
+            ++depth_;
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
+        }
         if (c == '"')
             return parseString(out);
         if (c == 't' && literal("true")) {
@@ -499,6 +511,7 @@ class Parser
     std::string_view text_;
     std::string *error_;
     size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace

@@ -210,6 +210,26 @@ TEST(AbCachePersist, TruncatedFileIsACleanMiss)
     EXPECT_TRUE(loaded.empty());
 }
 
+TEST(AbCachePersist, DeeplyNestedFileIsACleanMiss)
+{
+    CacheDir cache("softsku-abcache-deep");
+    const std::string context = "schema=2 test-context deep";
+
+    std::unordered_map<std::string, ABTestResult> memo;
+    memo.emplace("base vs cand #c0", sampleResult(8));
+    ASSERT_TRUE(storeAbCache(cache.dir.string(), context, memo));
+
+    // A corrupt file of nothing but open brackets must fail the parse,
+    // not overflow the parser's stack.
+    std::ofstream(abCacheFilePath(cache.dir.string(), context),
+                  std::ios::binary)
+        << std::string(100000, '[');
+
+    std::unordered_map<std::string, ABTestResult> loaded;
+    EXPECT_EQ(loadAbCache(cache.dir.string(), context, loaded), 0u);
+    EXPECT_TRUE(loaded.empty());
+}
+
 TEST(AbCachePersist, WrongSchemaVersionIsACleanMiss)
 {
     CacheDir cache("softsku-abcache-schema");

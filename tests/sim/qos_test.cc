@@ -2,30 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/platform.hh"
 #include "services/services.hh"
 #include "sim/qos.hh"
-#include "sim/service_sim.hh"
 
 namespace softsku {
 namespace {
 
-CounterSet
-countersFor(const WorkloadProfile &service)
-{
-    const PlatformSpec &platform = platformByName(service.defaultPlatform);
-    SimOptions opts;
-    opts.warmupInstructions = 200'000;
-    opts.measureInstructions = 250'000;
-    return simulateService(service, platform,
-                           productionConfig(platform, service), opts);
-}
-
 TEST(Qos, RespectsSloAndUtilizationCap)
 {
     const WorkloadProfile &service = feed2Profile();
-    CounterSet c = countersFor(service);
     ServiceOperatingPoint op = solveOperatingPoint(
-        service, platformByName(service.defaultPlatform), c);
+        service, platformByName(service.defaultPlatform));
     EXPECT_GT(op.peakQps, 0.0);
     EXPECT_LE(op.p99LatencySec, op.sloLatencySec * 1.02);
     EXPECT_LE(op.cpuUtilization, service.cpuUtilizationCap + 0.02);
@@ -35,9 +23,8 @@ TEST(Qos, RespectsSloAndUtilizationCap)
 TEST(Qos, BreakdownFractionsSumToOne)
 {
     const WorkloadProfile &service = webProfile();
-    CounterSet c = countersFor(service);
     ServiceOperatingPoint op = solveOperatingPoint(
-        service, platformByName(service.defaultPlatform), c);
+        service, platformByName(service.defaultPlatform));
     const ThreadPoolResult &pool = op.pool;
     EXPECT_NEAR(pool.runningFraction + pool.queueFraction +
                     pool.schedulerFraction + pool.ioFraction,
@@ -49,20 +36,17 @@ TEST(Qos, BreakdownFractionsSumToOne)
 TEST(Qos, LeafServicesMostlyRunning)
 {
     const WorkloadProfile &service = feed1Profile();
-    CounterSet c = countersFor(service);
     ServiceOperatingPoint op = solveOperatingPoint(
-        service, platformByName(service.defaultPlatform), c);
+        service, platformByName(service.defaultPlatform));
     EXPECT_GT(op.pool.runningShare(), 0.85);
 }
 
 TEST(Qos, CacheKernelShareHighest)
 {
-    CounterSet cWeb = countersFor(webProfile());
-    CounterSet cCache = countersFor(cache2Profile());
     ServiceOperatingPoint web =
-        solveOperatingPoint(webProfile(), skylake18(), cWeb);
+        solveOperatingPoint(webProfile(), skylake18());
     ServiceOperatingPoint cache =
-        solveOperatingPoint(cache2Profile(), skylake18(), cCache);
+        solveOperatingPoint(cache2Profile(), skylake18());
     double webKernelShare = web.kernelUtilization / web.cpuUtilization;
     double cacheKernelShare =
         cache.kernelUtilization / cache.cpuUtilization;
@@ -72,10 +56,9 @@ TEST(Qos, CacheKernelShareHighest)
 TEST(Qos, Deterministic)
 {
     const WorkloadProfile &service = ads2Profile();
-    CounterSet c = countersFor(service);
     const PlatformSpec &platform = platformByName(service.defaultPlatform);
-    ServiceOperatingPoint a = solveOperatingPoint(service, platform, c, 5);
-    ServiceOperatingPoint b = solveOperatingPoint(service, platform, c, 5);
+    ServiceOperatingPoint a = solveOperatingPoint(service, platform, 5);
+    ServiceOperatingPoint b = solveOperatingPoint(service, platform, 5);
     EXPECT_DOUBLE_EQ(a.peakQps, b.peakQps);
     EXPECT_DOUBLE_EQ(a.p99LatencySec, b.p99LatencySec);
 }

@@ -72,6 +72,30 @@ TEST(Json, RejectsMalformedInput)
     }
 }
 
+TEST(Json, RejectsDeepNestingWithoutCrashing)
+{
+    // Each level recurses once in the parser; without a cap, input like
+    // this overflows the stack instead of failing the parse.
+    std::string arrays(100000, '[');
+    std::string objects;
+    for (int i = 0; i < 100000; ++i)
+        objects += "{\"a\":";
+    for (const std::string &deep : {arrays, objects}) {
+        std::string err;
+        auto [j, ok] = Json::parse(deep, &err);
+        EXPECT_FALSE(ok);
+        EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+    }
+}
+
+TEST(Json, AcceptsModerateNesting)
+{
+    std::string doc = std::string(100, '[') + std::string(100, ']');
+    auto [j, ok] = Json::parse(doc);
+    ASSERT_TRUE(ok);
+    EXPECT_TRUE(j.isArray());
+}
+
 TEST(Json, RoundTripsThroughDump)
 {
     const char *doc =
