@@ -20,6 +20,7 @@
 
 #include "stats/distributions.hh"
 #include "stats/rng.hh"
+#include "util/page_allocator.hh"
 #include "workload/profile.hh"
 
 namespace softsku {
@@ -84,7 +85,7 @@ class CodeGenerator
     std::uint64_t functionEnd_ = 0;
 
     /** Per-function remap epoch (JIT churn). */
-    std::vector<std::uint32_t> epochs_;
+    PageVector<std::uint32_t> epochs_;
     double churnCarry_ = 0.0;
 
     /** Small return stack for call/return locality. */
