@@ -15,15 +15,6 @@ CacheStats::mpki(AccessType type, std::uint64_t instructions) const
            static_cast<double>(instructions);
 }
 
-double
-CacheStats::totalMpki(std::uint64_t instructions) const
-{
-    if (instructions == 0)
-        return 0.0;
-    return static_cast<double>(totalMisses()) * 1000.0 /
-           static_cast<double>(instructions);
-}
-
 SetAssocCache::SetAssocCache(std::string name, const CacheGeometry &geometry,
                              ReplPolicy policy)
     : name_(std::move(name)), sets_(geometry.sets()), ways_(geometry.ways),

@@ -53,9 +53,6 @@ struct CacheStats
     /** Misses per kilo-instruction for one type. */
     double mpki(AccessType type, std::uint64_t instructions) const;
 
-    /** Combined misses per kilo-instruction. */
-    double totalMpki(std::uint64_t instructions) const;
-
     void clear() { *this = CacheStats(); }
 
     /** Exact equality, so whole results can be compared bit for bit. */

@@ -7,27 +7,12 @@
 #include <sstream>
 #include <vector>
 
+#include "util/file.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
 namespace softsku {
-
-namespace {
-
-/** FNV-1a, the same stable hash the sweep's stream ids use. */
-std::uint64_t
-fnv64(const std::string &text)
-{
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001B3ULL;
-    }
-    return hash;
-}
-
-} // namespace
 
 std::string
 hexBits(double value)
@@ -306,7 +291,7 @@ abCacheFilePath(const std::string &dir, const std::string &context)
 {
     return dir +
            format("/abcache-%016llx.json",
-                  static_cast<unsigned long long>(fnv64(context)));
+                  static_cast<unsigned long long>(fnv1a64(context)));
 }
 
 std::size_t
@@ -419,13 +404,11 @@ storeAbCache(const std::string &dir, const std::string &context,
     }
 
     const std::string path = abCacheFilePath(dir, context);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
+    if (!writeFileAtomic(path, doc.dump(1) + "\n")) {
         warn("ab cache: cannot write %s", path.c_str());
         return false;
     }
-    out << doc.dump(1) << '\n';
-    return static_cast<bool>(out);
+    return true;
 }
 
 } // namespace softsku

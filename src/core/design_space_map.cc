@@ -28,16 +28,6 @@ KnobSweep::best() const
     return winner ? winner : baseline;
 }
 
-const KnobSweep *
-DesignSpaceMap::sweepFor(KnobId id) const
-{
-    for (const KnobSweep &sweep : sweeps) {
-        if (sweep.id == id)
-            return &sweep;
-    }
-    return nullptr;
-}
-
 Json
 DesignSpaceMap::toJson() const
 {

@@ -59,9 +59,6 @@ struct DesignSpaceMap
     double baselineMips = 0.0;
     std::vector<KnobSweep> sweeps;
 
-    /** Sweep for @p id; nullptr when the knob was not explored. */
-    const KnobSweep *sweepFor(KnobId id) const;
-
     /** Serialize for the μSKU report. */
     Json toJson() const;
 };

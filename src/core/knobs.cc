@@ -32,12 +32,6 @@ knobFromKey(const std::string &key)
           knobKeyList().c_str());
 }
 
-std::string
-knobDisplayName(KnobId id)
-{
-    return knobDescriptor(id).displayName;
-}
-
 bool
 knobRequiresReboot(KnobId id)
 {

@@ -62,9 +62,6 @@ std::string knobKey(KnobId id);
  *  valid ones. */
 KnobId knobFromKey(const std::string &key);
 
-/** Human-readable knob name. */
-std::string knobDisplayName(KnobId id);
-
 /** True when changing this knob requires a server reboot. */
 bool knobRequiresReboot(KnobId id);
 

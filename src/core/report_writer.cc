@@ -1,8 +1,10 @@
 #include "core/report_writer.hh"
 
-#include <cstdio>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 
+#include "util/file.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -81,12 +83,9 @@ renderMarkdownReport(const UskuReport &report)
 void
 writeMarkdownReport(const UskuReport &report, const std::string &path)
 {
-    std::string md = renderMarkdownReport(report);
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file)
-        fatal("cannot write report to '%s'", path.c_str());
-    std::fwrite(md.data(), 1, md.size(), file);
-    std::fclose(file);
+    if (!writeFileAtomic(path, renderMarkdownReport(report)))
+        fatal("cannot write report to '%s': %s", path.c_str(),
+              std::strerror(errno));
     inform("wrote μSKU report to %s", path.c_str());
 }
 
@@ -111,13 +110,9 @@ emitTargetReport(const std::string &dir, const std::string &service,
         (std::filesystem::path(dir) /
          targetReportFileName(service, platform))
             .string();
-    std::string body = doc.dump(2);
-    body += "\n";
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file)
-        fatal("cannot write dashboard JSON to '%s'", path.c_str());
-    std::fwrite(body.data(), 1, body.size(), file);
-    std::fclose(file);
+    if (!writeFileAtomic(path, doc.dump(2) + "\n"))
+        fatal("cannot write dashboard JSON to '%s': %s", path.c_str(),
+              std::strerror(errno));
     inform("emitted dashboard JSON to %s", path.c_str());
     return path;
 }

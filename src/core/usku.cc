@@ -159,18 +159,6 @@ makeOutcome(const KnobValue &value, const ABTestResult &test)
     return outcome;
 }
 
-/** Stable 64-bit id for a comparison key (FNV-1a). */
-std::uint64_t
-streamIdFor(const std::string &key)
-{
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
-    for (unsigned char c : key) {
-        hash ^= c;
-        hash *= 0x100000001B3ULL;
-    }
-    return hash;
-}
-
 /**
  * Deterministic measurement-window start for a task: spread arms
  * across a simulated week of diurnal phases in half-hour steps, so
@@ -181,6 +169,299 @@ double
 phaseOffsetSec(std::uint64_t streamId)
 {
     return static_cast<double>(streamId % 336) * 1800.0;
+}
+
+/**
+ * QoS guardrail: true (with @p out filled as a guardrail abort) when
+ * @p candidate's solved operating point says the p99 SLO cannot hold
+ * at production traffic — either outright (the solve never met the
+ * SLO) or by capacity collapse (peak QPS under SLO falls so far below
+ * @p baseline's that the live load envelope would violate it).
+ */
+bool
+qosGuard(ProductionEnvironment &env, const RobustnessPolicy &robust,
+         const KnobConfig &baseline, const KnobConfig &candidate,
+         ABTestResult &out)
+{
+    if (!robust.qosGuardrail)
+        return false;
+    const ServiceOperatingPoint &base = env.operatingPoint(baseline);
+    const ServiceOperatingPoint &cand = env.operatingPoint(candidate);
+    bool sloBroken = cand.p99LatencySec >
+                     cand.sloLatencySec * (1.0 + robust.qosMarginFraction);
+    bool capacityCollapse =
+        base.peakQps > 0.0 &&
+        cand.peakQps < base.peakQps * robust.minPeakQpsFraction;
+    if (!sloBroken && !capacityCollapse)
+        return false;
+    out.configA = baseline;
+    out.configB = candidate;
+    out.qosAborted = true;
+    out.faults.guardrailAborts = 1;
+    return true;
+}
+
+/** One fixed-protocol comparison on the stream its @p key names,
+ *  retried on replacement servers after crashes and failed applies. */
+ABTestResult
+measureComparison(ProductionEnvironment &env, const RobustnessPolicy &robust,
+                  const InputSpec &spec, const KnobConfig &baseline,
+                  const KnobConfig &candidate, const std::string &key)
+{
+    // A private fleet slice per task: shared truth cache, private
+    // noise substream.  Nothing here mutates engine state.  A
+    // comparison killed by a crash or apply failure re-runs on a
+    // replacement server — a fresh substream derived from the same
+    // comparison key, so the retry schedule is thread-invariant.
+    const std::uint64_t streamId = fnv1a64(key);
+    ABTestResult out;
+    FaultTelemetry merged;
+    double elapsed = 0.0;
+    std::uint64_t accepted = 0;
+    const int attempts = 1 + std::max(0, robust.maxRetries);
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+        std::uint64_t stream =
+            streamId +
+            0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(attempt);
+        ProductionEnvironment slice = env.clone(stream);
+        // Per-sample counters accrue in commit(), from the merged
+        // result: a replayed comparison must account exactly like the
+        // one that measured.
+        ABTester tester(slice, spec, robust, nullptr);
+        out = tester.compareAt(baseline, candidate, phaseOffsetSec(stream));
+        merged.merge(out.faults);
+        elapsed += out.elapsedSec;
+        accepted += out.samplesAccepted;
+        if (!out.crashed && !out.applyFailed)
+            break;
+        // A trace point per fault, under the comparison's
+        // deterministic path, so Perfetto shows where the hostile
+        // fleet actually bit.
+        traceInstant("fault",
+                     out.crashed ? "fault.crash" : "fault.apply_failure");
+        if (attempt + 1 < attempts) {
+            ++merged.retries;
+            // A marker child span per re-measurement, so traces carry
+            // exactly report.faults.retries of these.
+            ScopedSpan retry("sweep", "sweep.retry");
+            retry.arg("attempt", static_cast<std::uint64_t>(attempt + 1));
+        }
+    }
+    if (out.crashed || out.applyFailed)
+        ++merged.abandoned;
+    out.faults = merged;
+    out.elapsedSec = elapsed;
+    out.samplesAccepted = accepted;
+    return out;
+}
+
+/**
+ * One value of a knob's sweep, in plan order: the baseline's own value
+ * (after canonicalization), or candidate arm number @p arm.
+ */
+struct ArmSlot
+{
+    const KnobValue *value;
+    bool isBaseline;
+    size_t arm;
+};
+
+/** Lay out @p knob's values against @p baseline, appending each
+ *  candidate arm's configuration to @p candidates (an arm's number is
+ *  its index there). */
+std::vector<ArmSlot>
+armLayout(const KnobPlan &knob, const KnobConfig &baseline,
+          const PlatformSpec &platform, std::vector<KnobConfig> &candidates)
+{
+    std::vector<ArmSlot> layout;
+    for (const KnobValue &value : knob.values) {
+        KnobConfig candidate = baseline;
+        value.applyTo(candidate);
+        if (candidate.canonical(platform) == baseline.canonical(platform)) {
+            layout.push_back(ArmSlot{&value, true, 0});
+        } else {
+            layout.push_back(ArmSlot{&value, false, candidates.size()});
+            candidates.push_back(candidate);
+        }
+    }
+    return layout;
+}
+
+/** The outcome row for a knob's baseline value: zero gain by
+ *  definition, never measured. */
+KnobOutcome
+baselineOutcome(const DesignSpaceMap &map, KnobId id)
+{
+    KnobOutcome outcome;
+    outcome.value = KnobValue::fromConfig(id, map.baseline);
+    outcome.meanMips = map.baselineMips;
+    outcome.isBaseline = true;
+    return outcome;
+}
+
+/**
+ * Every joint configuration of the plan's knob values except the
+ * baseline itself, in mixed-radix order (first knob fastest).  The
+ * cross product is bounded: the paper observes exhaustive sweeps
+ * cannot complete between code pushes, and the limit keeps runs
+ * honest.  @p what names the search in the refusal.
+ */
+std::vector<KnobConfig>
+crossProduct(const TestPlan &plan, const KnobConfig &baseline,
+             const char *what)
+{
+    constexpr size_t kMaxCombinations = 512;
+    size_t combinations = 1;
+    for (const KnobPlan &knobPlan : plan.knobs) {
+        combinations *= knobPlan.values.size();
+        if (combinations > kMaxCombinations) {
+            fatal("μSKU: %s would need %zu+ combinations (limit %zu); "
+                  "restrict the knob list or sweep the knobs "
+                  "independently",
+                  what, combinations, kMaxCombinations);
+        }
+    }
+    std::vector<KnobConfig> candidates;
+    std::vector<size_t> index(plan.knobs.size(), 0);
+    bool done = plan.knobs.empty();
+    while (!done) {
+        KnobConfig candidate = baseline;
+        for (size_t k = 0; k < plan.knobs.size(); ++k)
+            plan.knobs[k].values[index[k]].applyTo(candidate);
+        if (!(candidate == baseline))
+            candidates.push_back(candidate);
+
+        // Advance the mixed-radix counter.
+        size_t k = 0;
+        while (k < index.size()) {
+            if (++index[k] < plan.knobs[k].values.size())
+                break;
+            index[k] = 0;
+            ++k;
+        }
+        done = k == index.size();
+    }
+    return candidates;
+}
+
+/** Feed the per-knob sim-latency histogram.  Callers feed it in plan
+ *  order from serial loops, so the fp accumulation is deterministic. */
+void
+recordKnobSimSec(MetricsRegistry &metrics, KnobId id, double elapsedSec)
+{
+    if (elapsedSec > 0.0) {
+        metrics
+            .histogram("sweep.knob_sim_sec." + knobKey(id),
+                       MetricScope::Deterministic, 1.0, 1e8)
+            .add(elapsedSec);
+    }
+}
+
+/** One outcome per knob, each naming the best joint configuration
+ *  (exhaustive and halving search). */
+void
+collapseToBest(DesignSpaceMap &map, const TestPlan &plan,
+               const KnobConfig &bestConfig, double bestMean)
+{
+    for (const KnobPlan &knobPlan : plan.knobs) {
+        KnobSweep sweep;
+        sweep.id = knobPlan.id;
+        KnobOutcome outcome;
+        outcome.value = KnobValue::fromConfig(knobPlan.id, bestConfig);
+        outcome.meanMips = bestMean;
+        outcome.gainPercent =
+            map.baselineMips > 0.0
+                ? (bestMean / map.baselineMips - 1.0) * 100.0
+                : 0.0;
+        outcome.significant = !(bestConfig == map.baseline);
+        outcome.isBaseline = bestConfig == map.baseline;
+        sweep.outcomes.push_back(outcome);
+        map.sweeps.push_back(std::move(sweep));
+    }
+}
+
+/**
+ * One knob's race (racing search): its sweep layout, its candidate
+ * arms and the race over them.  The knob's baseline value sits outside
+ * the race: it is the implicit zero-gain reference every arm is
+ * measured against.
+ */
+struct RaceGroup
+{
+    struct Arm
+    {
+        /** Latest cumulative window state (every pull returns the
+         *  whole window so far). */
+        ABTestResult last;
+        /** Snapshot at the moment the fixed protocol would have
+         *  stopped — bit-identical to a fixed-mode measurement of this
+         *  comparison, because the window runs on the same stream with
+         *  the same batch cadence. */
+        ABTestResult fixed;
+        double elapsedSec = 0.0;
+        bool aborted = false;       //!< guardrail/crash withdrawal
+        bool dead = false;          //!< window died after parking
+    };
+
+    KnobId id = KnobId::CoreFrequency;
+    std::vector<ArmSlot> layout;
+    std::vector<KnobConfig> candidates;
+    std::vector<Arm> arms;
+    std::unique_ptr<BaiRace> race;
+    bool done = false;
+};
+
+/** Racing's outcome rows, in plan order, into @p map (the serial loop
+ *  keeps the per-knob histogram's fp accumulation deterministic);
+ *  returns the early stops. */
+std::uint64_t
+raceOutcomes(const std::vector<RaceGroup> &groups, const InputSpec &spec,
+             MetricsRegistry &metrics, DesignSpaceMap &map)
+{
+    std::uint64_t earlyStops = 0;
+    std::uint64_t samplesSaved = 0;
+    for (const RaceGroup &group : groups) {
+        KnobSweep sweep;
+        sweep.id = group.id;
+        for (const ArmSlot &slot : group.layout) {
+            if (slot.isBaseline) {
+                sweep.outcomes.push_back(baselineOutcome(map, group.id));
+                continue;
+            }
+            const RaceGroup::Arm &arm = group.arms[slot.arm];
+            const BaiArm &raced = group.race->arm(slot.arm);
+            recordKnobSimSec(metrics, group.id, arm.elapsedSec);
+            // A parked arm reports its fixed-protocol snapshot — the
+            // bytes a fixed-mode run would have produced for this
+            // comparison.  Everything else (eliminated, capped,
+            // withdrawn) reports its final window state; the composer
+            // skips eliminated arms regardless.
+            KnobOutcome outcome =
+                makeOutcome(*slot.value, raced.parked ? arm.fixed : arm.last);
+            outcome.significant = !arm.aborted && outcome.significant;
+            outcome.eliminated = raced.eliminated;
+            // Savings count what the race actually paid (the live
+            // window, continuation pulls included) against the fixed
+            // per-test cap the paper's protocol budgets.
+            std::uint64_t paid = raced.gains.count();
+            outcome.samplesSaved = spec.maxSamplesPerTest > paid
+                                       ? spec.maxSamplesPerTest - paid
+                                       : 0;
+            samplesSaved += outcome.samplesSaved;
+            debug("μSKU race: %s = %s → %+0.2f%% (n=%llu%s)",
+                  knobKey(group.id).c_str(), slot.value->label.c_str(),
+                  outcome.gainPercent,
+                  static_cast<unsigned long long>(outcome.samples),
+                  outcome.eliminated ? ", eliminated" : "");
+            sweep.outcomes.push_back(outcome);
+        }
+        if (group.race)
+            earlyStops += group.race->earlyStops();
+        map.sweeps.push_back(std::move(sweep));
+    }
+    metrics.counter("sweep.early_stops").add(earlyStops);
+    metrics.counter("sweep.samples_saved").add(samplesSaved);
+    return earlyStops;
 }
 
 } // namespace
@@ -395,13 +676,8 @@ Usku::run(const InputSpec &specIn)
         progress_->finish();
         progress_.reset();
     }
-    if (!options_.traceOut.empty()) {
-        if (Tracer::global().writeChromeTrace(options_.traceOut))
-            inform("Chrome trace written to %s",
-                   options_.traceOut.c_str());
-        else
-            warn("could not write trace to %s", options_.traceOut.c_str());
-    }
+    if (!options_.traceOut.empty())
+        Tracer::global().writeChromeTrace(options_.traceOut);
     return report;
 }
 
@@ -411,280 +687,121 @@ Usku::fullMetrics() const
     return metrics_.snapshot(/*includeOperational=*/true);
 }
 
+std::string
+Usku::comparisonKey(const Comparison &task)
+{
+    const PlatformSpec &platform = env_.platform();
+    std::string a = task.baseline.canonical(platform).describe();
+    std::string b = task.candidate.canonical(platform).describe();
+    configsThisRun_.insert(a);
+    configsThisRun_.insert(b);
+    return a + " vs " + b;
+}
+
 std::vector<ABTestResult>
 Usku::evaluate(const std::vector<Comparison> &batch, const InputSpec &spec)
 {
     comparisons_ += batch.size();
-    const PlatformSpec &platform = env_.platform();
-    std::vector<std::string> keys(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        std::string a = batch[i].baseline.canonical(platform).describe();
-        std::string b = batch[i].candidate.canonical(platform).describe();
-        configsThisRun_.insert(a);
-        configsThisRun_.insert(b);
-        keys[i] = a + " vs " + b;
-    }
-    return evaluateKeyed(batch, keys, nullptr, spec);
+    return evaluateKeyed(batch, nullptr, spec);
 }
 
 std::vector<ABTestResult>
 Usku::evaluateChunks(const std::vector<ChunkPull> &batch,
                      const InputSpec &spec)
 {
-    // The chunk — not the comparison — is the memo/cache unit here:
-    // every pull gets its own key carrying the cumulative window state
-    // at that pull's end, so a warm run replays exactly the chunks the
-    // racing engine re-requests, in whatever round it re-requests them.
-    const PlatformSpec &platform = env_.platform();
-    std::vector<Comparison> tasks(batch.size());
-    std::vector<std::string> keys(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        tasks[i] = batch[i].task;
-        std::string a =
-            batch[i].task.baseline.canonical(platform).describe();
-        std::string b =
-            batch[i].task.candidate.canonical(platform).describe();
-        configsThisRun_.insert(a);
-        configsThisRun_.insert(b);
-        keys[i] = a + " vs " + b +
-                  format(" #c%llu", static_cast<unsigned long long>(
-                                        batch[i].ordinal));
-    }
-    return evaluateKeyed(tasks, keys, &batch, spec);
+    std::vector<Comparison> tasks;
+    tasks.reserve(batch.size());
+    for (const ChunkPull &pull : batch)
+        tasks.push_back(pull.task);
+    return evaluateKeyed(tasks, &batch, spec);
 }
 
-std::vector<ABTestResult>
-Usku::evaluateKeyed(const std::vector<Comparison> &batch,
-                    const std::vector<std::string> &keys,
-                    const std::vector<ChunkPull> *pulls,
-                    const InputSpec &spec)
+std::vector<size_t>
+Usku::lookup(const std::vector<std::string> &keys, std::uint64_t batchTag,
+             std::vector<ABTestResult> &results,
+             std::vector<std::pair<size_t, size_t>> &aliases)
 {
-    const std::uint64_t batchTag = batchSeq_++;
-    std::vector<ABTestResult> results(batch.size());
-
-    // The run tag active on this (driver) thread; worker tasks below
-    // re-establish it so concurrent runs sharing one pool keep their
-    // span paths apart.
-    const std::uint64_t runTag = Tracer::currentRunTag();
-
-    // Sort out which slots need measurement: memo hits and in-batch
-    // duplicates resolve without touching the simulator.  Stream ids
-    // derive from the comparison key itself, so a given comparison
-    // replays the same noise stream no matter where it appears.  Keys
-    // are kept for every slot — the commit loop accounts by first
-    // occurrence per run, measured or replayed alike.
-    struct Pending
-    {
-        size_t slot;
-        std::uint64_t stream;
-    };
-    std::vector<Pending> pending;
+    // Memo hits and in-batch duplicates (aliased to their first slot)
+    // resolve without touching the simulator; the rest need measuring.
+    std::vector<size_t> pending;
     std::unordered_map<std::string, size_t> seenInBatch;
-    std::vector<std::pair<size_t, size_t>> aliases;  // (dup, source)
-
-    for (size_t i = 0; i < batch.size(); ++i) {
+    for (size_t i = 0; i < keys.size(); ++i) {
         const std::string &key = keys[i];
         auto hit = memo_.find(key);
+        bool inBatch = false;
         if (hit != memo_.end()) {
             results[i] = hit->second;
-            ++cacheHits_;
-            ScopedSpan span("sweep", "sweep.cache_hit",
-                            {kTraceSweep, batchTag,
-                             static_cast<std::uint64_t>(i)});
-            span.arg("key", key);
-            traceCounter("sweep", "sweep.cache_hits_total",
-                         static_cast<double>(cacheHits_));
-            continue;
-        }
-        auto first = seenInBatch.find(key);
-        if (first != seenInBatch.end()) {
+        } else if (auto first = seenInBatch.find(key);
+                   first != seenInBatch.end()) {
             aliases.emplace_back(i, first->second);
-            ++cacheHits_;
-            ScopedSpan span("sweep", "sweep.cache_hit",
-                            {kTraceSweep, batchTag,
-                             static_cast<std::uint64_t>(i)});
-            span.arg("key", key);
-            span.arg("in_batch", true);
-            traceCounter("sweep", "sweep.cache_hits_total",
-                         static_cast<double>(cacheHits_));
+            inBatch = true;
+        } else {
+            seenInBatch.emplace(key, i);
+            pending.push_back(i);
             continue;
         }
-        seenInBatch.emplace(key, i);
-        pending.push_back(Pending{i, streamIdFor(key)});
+        ++cacheHits_;
+        ScopedSpan span(
+            "sweep", "sweep.cache_hit",
+            {kTraceSweep, batchTag, static_cast<std::uint64_t>(i)});
+        span.arg("key", key);
+        if (inBatch)
+            span.arg("in_batch", true);
+        traceCounter("sweep", "sweep.cache_hits_total",
+                     static_cast<double>(cacheHits_));
     }
+    return pending;
+}
 
-    const RobustnessPolicy &robust = options_.robustness;
-    auto evaluateOne = [&](size_t p) {
-        const Comparison &task = batch[pending[p].slot];
-        ABTestResult &out = results[pending[p].slot];
-
-        // Root path (batch ordinal, batch slot) is derived from the
-        // plan alone, so the merged span order is thread-invariant.
-        ScopedSpan span("sweep",
-                        pulls ? "sweep.pull" : "sweep.compare",
-                        {kTraceSweep, batchTag,
-                         static_cast<std::uint64_t>(pending[p].slot)});
-        span.arg("key", keys[pending[p].slot]);
-        LogContext logCtx(format(
-            "%s b%llu.%zu", env_.profile().name.c_str(),
-            static_cast<unsigned long long>(batchTag), pending[p].slot));
-
-        // QoS guardrail: refuse to measure a candidate whose solved
-        // operating point says the p99 SLO cannot hold at production
-        // traffic — either outright (the solve never met the SLO) or
-        // by capacity collapse (peak QPS under SLO falls so far that
-        // the live load envelope would violate it).
-        if (robust.qosGuardrail) {
-            const ServiceOperatingPoint &base =
-                env_.operatingPoint(task.baseline);
-            const ServiceOperatingPoint &cand =
-                env_.operatingPoint(task.candidate);
-            bool sloBroken =
-                cand.p99LatencySec >
-                cand.sloLatencySec * (1.0 + robust.qosMarginFraction);
-            bool capacityCollapse =
-                base.peakQps > 0.0 &&
-                cand.peakQps <
-                    base.peakQps * robust.minPeakQpsFraction;
-            if (sloBroken || capacityCollapse) {
-                out.configA = task.baseline;
-                out.configB = task.candidate;
-                out.qosAborted = true;
-                out.faults.guardrailAborts = 1;
-                span.arg("qos_aborted", true);
-                return;
-            }
+ABTestResult
+Usku::measurePull(const Comparison &task, const std::string &windowKey,
+                  const ChunkPull &pull, const InputSpec &spec)
+{
+    // Extend the comparison's continued measurement window.  The
+    // window lives on the stream the *comparison key alone* names —
+    // the exact stream the fixed protocol's first attempt measures —
+    // so once an arm parks at the fixed stop rule its cumulative
+    // statistics are bit-identical to a one-shot fixed run.  No
+    // retry-on-crash here: a dead window is the arm's verdict, and the
+    // race driver withdraws (or keeps the parked snapshot of) the arm.
+    std::uint64_t stream = fnv1a64(windowKey);
+    RaceWindow *window = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(raceWindowsMu_);
+        auto it = raceWindows_.find(windowKey);
+        if (it == raceWindows_.end()) {
+            it = raceWindows_
+                     .emplace(windowKey,
+                              std::make_unique<RaceWindow>(
+                                  env_.clone(stream), spec,
+                                  options_.robustness, task.baseline,
+                                  task.candidate, phaseOffsetSec(stream)))
+                     .first;
         }
-
-        if (pulls) {
-            // Adaptive-search pull: extend the comparison's continued
-            // measurement window.  The window lives on the stream the
-            // *comparison key alone* names — the exact stream the fixed
-            // protocol's first attempt measures — so once an arm parks
-            // at the fixed stop rule its cumulative statistics are
-            // bit-identical to a one-shot fixed run.  No retry-on-crash
-            // here: a dead window is the arm's verdict, and the race
-            // driver withdraws (or keeps the parked snapshot of) the
-            // arm.
-            const ChunkPull &pull = (*pulls)[pending[p].slot];
-            const PlatformSpec &platform = env_.platform();
-            std::string baseKey =
-                task.baseline.canonical(platform).describe() + " vs " +
-                task.candidate.canonical(platform).describe();
-            std::uint64_t stream = streamIdFor(baseKey);
-            RaceWindow *window = nullptr;
-            {
-                std::lock_guard<std::mutex> lock(raceWindowsMu_);
-                auto it = raceWindows_.find(baseKey);
-                if (it == raceWindows_.end()) {
-                    it = raceWindows_
-                             .emplace(baseKey,
-                                      std::make_unique<RaceWindow>(
-                                          env_.clone(stream), spec,
-                                          robust, task.baseline,
-                                          task.candidate,
-                                          phaseOffsetSec(stream)))
-                             .first;
-                }
-                window = it->second.get();
-            }
-            out = window->session.pullTo(pull.target, pull.stopAtVerdict);
-            if (out.crashed || out.applyFailed)
-                out.faults.abandoned = 1;
-            span.arg("sim_sec", out.elapsedSec);
-            span.arg("significant", out.significant);
-            return;
-        }
-
-        // A private fleet slice per task: shared truth cache, private
-        // noise substream.  Nothing here mutates engine state.  A
-        // comparison killed by a crash or apply failure re-runs on a
-        // replacement server — a fresh substream derived from the same
-        // comparison key, so the retry schedule is thread-invariant.
-        FaultTelemetry merged;
-        double elapsed = 0.0;
-        std::uint64_t accepted = 0;
-        const int attempts = 1 + std::max(0, robust.maxRetries);
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-            std::uint64_t stream =
-                pending[p].stream +
-                0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(
-                                            attempt);
-            ProductionEnvironment slice = env_.clone(stream);
-            // Per-sample counters accrue in the commit loop (from the
-            // merged result), not here: a replayed comparison must
-            // account exactly like the one that measured.
-            ABTester tester(slice, spec, robust, nullptr);
-            out = tester.compareAt(task.baseline, task.candidate,
-                                   phaseOffsetSec(stream));
-            merged.merge(out.faults);
-            elapsed += out.elapsedSec;
-            accepted += out.samplesAccepted;
-            if (!out.crashed && !out.applyFailed)
-                break;
-            // A trace point per fault, under the comparison's
-            // deterministic path, so Perfetto shows where the hostile
-            // fleet actually bit.
-            traceInstant("fault", out.crashed ? "fault.crash"
-                                              : "fault.apply_failure");
-            if (attempt + 1 < attempts) {
-                ++merged.retries;
-                // A marker child span per re-measurement, so traces
-                // carry exactly report.faults.retries of these.
-                ScopedSpan retry("sweep", "sweep.retry");
-                retry.arg("attempt", static_cast<std::uint64_t>(
-                                         attempt + 1));
-            }
-        }
-        if (out.crashed || out.applyFailed)
-            ++merged.abandoned;
-        out.faults = merged;
-        out.elapsedSec = elapsed;
-        out.samplesAccepted = accepted;
-        span.arg("sim_sec", out.elapsedSec);
-        span.arg("significant", out.significant);
-    };
-
-    // Wall timing and the progress line wrap the task; neither can
-    // influence anything the task computes.  The driver's run tag is
-    // re-established first: the task may run on any pool thread, and
-    // on a shared pool that thread may otherwise carry another run's
-    // tag.
-    auto evaluateTask = [&](size_t p) {
-        TraceTagScope tag(runTag);
-        auto t0 = std::chrono::steady_clock::now();
-        evaluateOne(p);
-        double wallSec = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        metrics_
-            .histogram("sweep.comparison_wall_sec",
-                       MetricScope::Operational, 1e-6, 1e4)
-            .add(wallSec);
-        if (progress_)
-            progress_->taskDone(wallSec);
-    };
-
-    if (progress_)
-        progress_->beginBatch(pending.size());
-    if (pool_ && pending.size() > 1) {
-        pool_->parallelFor(pending.size(), evaluateTask);
-    } else {
-        for (size_t p = 0; p < pending.size(); ++p)
-            evaluateTask(p);
+        window = it->second.get();
     }
+    ABTestResult out =
+        window->session.pullTo(pull.target, pull.stopAtVerdict);
+    if (out.crashed || out.applyFailed)
+        out.faults.abandoned = 1;
+    return out;
+}
 
+void
+Usku::commit(const std::vector<std::string> &keys,
+             const std::vector<std::pair<size_t, size_t>> &aliases,
+             std::vector<ABTestResult> &results, bool pulls)
+{
     for (const auto &[dup, source] : aliases)
         results[dup] = results[source];
-
-    // Commit sequentially in batch order so memo contents, fault
-    // telemetry, and the floating-point accumulation order are
+    // Sequential, in batch order, so memo contents, fault telemetry,
+    // and the floating-point accumulation order are
     // thread-count-invariant.  Accounting accrues on a key's *first
     // occurrence this run*, measured and replayed results alike: a
     // cache-served rerun thereby reports the same measurement hours,
     // fault telemetry, and metric rows as the run that measured, and
     // a repeat of an already-committed key adds nothing twice.
-    for (size_t i = 0; i < batch.size(); ++i) {
+    for (size_t i = 0; i < keys.size(); ++i) {
         const ABTestResult &result = results[i];
         if (seenThisRun_.insert(keys[i]).second) {
             measuredSec_ += result.elapsedSec;
@@ -711,6 +828,84 @@ Usku::evaluateKeyed(const std::vector<Comparison> &batch,
         }
         memo_.emplace(keys[i], result);
     }
+}
+
+std::vector<ABTestResult>
+Usku::evaluateKeyed(const std::vector<Comparison> &batch,
+                    const std::vector<ChunkPull> *pulls,
+                    const InputSpec &spec)
+{
+    const std::uint64_t batchTag = batchSeq_++;
+    // A pull's key is its comparison's key plus the pull ordinal: the
+    // chunk — not the comparison — is the memo/cache unit there, so a
+    // warm run replays exactly the chunks the racing engine
+    // re-requests, in whatever round it re-requests them.
+    std::vector<std::string> windowKeys(batch.size()), keys(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        keys[i] = windowKeys[i] = comparisonKey(batch[i]);
+        if (pulls)
+            keys[i] += format(" #c%llu", static_cast<unsigned long long>(
+                                             (*pulls)[i].ordinal));
+    }
+    std::vector<ABTestResult> results(batch.size());
+    std::vector<std::pair<size_t, size_t>> aliases;  // (dup, source)
+    const std::vector<size_t> pending =
+        lookup(keys, batchTag, results, aliases);
+
+    // The driver's run tag is re-established in every task: the task
+    // may run on any pool thread, and on a shared pool that thread may
+    // otherwise carry another run's tag.  Wall timing and the progress
+    // line wrap the task; neither can influence what it computes.
+    const std::uint64_t runTag = Tracer::currentRunTag();
+    auto evaluateTask = [&](size_t p) {
+        TraceTagScope tag(runTag);
+        auto t0 = std::chrono::steady_clock::now();
+        const size_t slot = pending[p];
+        {
+            // Root path (batch ordinal, batch slot) is derived from the
+            // plan alone, so the merged span order is thread-invariant.
+            ScopedSpan span("sweep", pulls ? "sweep.pull" : "sweep.compare",
+                            {kTraceSweep, batchTag,
+                             static_cast<std::uint64_t>(slot)});
+            span.arg("key", keys[slot]);
+            LogContext logCtx(format(
+                "%s b%llu.%zu", env_.profile().name.c_str(),
+                static_cast<unsigned long long>(batchTag), slot));
+            ABTestResult &out = results[slot];
+            const Comparison &task = batch[slot];
+            if (qosGuard(env_, options_.robustness, task.baseline,
+                         task.candidate, out)) {
+                span.arg("qos_aborted", true);
+            } else {
+                out = pulls ? measurePull(task, windowKeys[slot],
+                                          (*pulls)[slot], spec)
+                            : measureComparison(
+                                  env_, options_.robustness, spec,
+                                  task.baseline, task.candidate, keys[slot]);
+                span.arg("sim_sec", out.elapsedSec);
+                span.arg("significant", out.significant);
+            }
+        }
+        double wallSec = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        metrics_
+            .histogram("sweep.comparison_wall_sec",
+                       MetricScope::Operational, 1e-6, 1e4)
+            .add(wallSec);
+        if (progress_)
+            progress_->taskDone(wallSec);
+    };
+
+    if (progress_)
+        progress_->beginBatch(pending.size());
+    if (pool_ && pending.size() > 1) {
+        pool_->parallelFor(pending.size(), evaluateTask);
+    } else {
+        for (size_t p = 0; p < pending.size(); ++p)
+            evaluateTask(p);
+    }
+    commit(keys, aliases, results, pulls != nullptr);
     return results;
 }
 
@@ -726,59 +921,30 @@ Usku::sweepIndependent(const TestPlan &plan, const KnobConfig &baseline,
     map.baselineMips = env_.trueMips(baseline);
 
     // Every non-baseline arm of every knob is one independent task.
-    struct Slot
-    {
-        const KnobValue *value;
-        bool isBaseline;
-        size_t batchIndex;
-    };
-    const PlatformSpec &platform = env_.platform();
+    std::vector<KnobConfig> candidates;
+    std::vector<std::vector<ArmSlot>> layouts;
+    for (const KnobPlan &knobPlan : plan.knobs)
+        layouts.push_back(
+            armLayout(knobPlan, baseline, env_.platform(), candidates));
     std::vector<Comparison> batch;
-    std::vector<std::vector<Slot>> slots(plan.knobs.size());
-    for (size_t k = 0; k < plan.knobs.size(); ++k) {
-        for (const KnobValue &value : plan.knobs[k].values) {
-            KnobConfig candidate = baseline;
-            value.applyTo(candidate);
-            if (candidate.canonical(platform) ==
-                baseline.canonical(platform)) {
-                slots[k].push_back(Slot{&value, true, 0});
-            } else {
-                slots[k].push_back(Slot{&value, false, batch.size()});
-                batch.push_back(Comparison{baseline, candidate});
-            }
-        }
-    }
+    for (const KnobConfig &candidate : candidates)
+        batch.push_back(Comparison{baseline, candidate});
 
     std::vector<ABTestResult> results = evaluate(batch, spec);
 
     for (size_t k = 0; k < plan.knobs.size(); ++k) {
-        const KnobPlan &knobPlan = plan.knobs[k];
         KnobSweep sweep;
-        sweep.id = knobPlan.id;
-        KnobValue baselineValue =
-            KnobValue::fromConfig(knobPlan.id, baseline);
-        for (const Slot &slot : slots[k]) {
+        sweep.id = plan.knobs[k].id;
+        for (const ArmSlot &slot : layouts[k]) {
             if (slot.isBaseline) {
-                KnobOutcome outcome;
-                outcome.value = baselineValue;
-                outcome.meanMips = map.baselineMips;
-                outcome.isBaseline = true;
-                sweep.outcomes.push_back(outcome);
+                sweep.outcomes.push_back(baselineOutcome(map, sweep.id));
                 continue;
             }
-            const ABTestResult &test = results[slot.batchIndex];
-            // Per-knob sim-latency histogram, fed in plan order (this
-            // loop is serial) so the fp accumulation is deterministic.
-            if (test.elapsedSec > 0.0) {
-                metrics_
-                    .histogram("sweep.knob_sim_sec." +
-                                   knobKey(knobPlan.id),
-                               MetricScope::Deterministic, 1.0, 1e8)
-                    .add(test.elapsedSec);
-            }
+            const ABTestResult &test = results[slot.arm];
+            recordKnobSimSec(metrics_, sweep.id, test.elapsedSec);
             sweep.outcomes.push_back(makeOutcome(*slot.value, test));
             debug("μSKU A/B: %s = %s → %+0.2f%% (p=%.3g, n=%llu)",
-                  knobKey(knobPlan.id).c_str(), slot.value->label.c_str(),
+                  knobKey(sweep.id).c_str(), slot.value->label.c_str(),
                   test.gainPercent(), test.welch.pValue,
                   static_cast<unsigned long long>(test.samplesUsed));
         }
@@ -794,51 +960,19 @@ Usku::sweepExhaustive(const TestPlan &plan, const KnobConfig &baseline,
     ScopedSpan span("sweep", "sweep.exhaustive");
     span.arg("knobs", static_cast<std::uint64_t>(plan.knobs.size()));
 
-    // Bound the cross product: the paper observes exhaustive sweeps
-    // cannot complete between code pushes; the limit keeps runs honest.
-    constexpr size_t kMaxCombinations = 512;
-    size_t combinations = 1;
-    for (const KnobPlan &knobPlan : plan.knobs) {
-        combinations *= knobPlan.values.size();
-        if (combinations > kMaxCombinations) {
-            fatal("μSKU: exhaustive sweep would need %zu+ combinations "
-                  "(limit %zu); restrict the knob list or use the "
-                  "independent/hillclimb modes",
-                  combinations, kMaxCombinations);
-        }
-    }
+    const std::vector<KnobConfig> candidates =
+        crossProduct(plan, baseline, "exhaustive sweep");
 
     DesignSpaceMap map;
     map.baseline = baseline;
     map.baselineMips = env_.trueMips(baseline);
 
-    // Enumerate the cross product as one task batch; the reduction to
-    // the best configuration happens in enumeration order afterwards,
-    // so the winner is independent of evaluation schedule.
-    std::vector<size_t> index(plan.knobs.size(), 0);
+    // The cross product is one task batch; the reduction to the best
+    // configuration happens in enumeration order afterwards, so the
+    // winner is independent of evaluation schedule.
     std::vector<Comparison> batch;
-    std::vector<KnobConfig> candidates;
-    bool done = plan.knobs.empty();
-    while (!done) {
-        KnobConfig candidate = baseline;
-        for (size_t k = 0; k < plan.knobs.size(); ++k)
-            plan.knobs[k].values[index[k]].applyTo(candidate);
-        if (!(candidate == baseline)) {
-            batch.push_back(Comparison{baseline, candidate});
-            candidates.push_back(candidate);
-        }
-
-        // Advance the mixed-radix counter.
-        size_t k = 0;
-        while (k < index.size()) {
-            if (++index[k] < plan.knobs[k].values.size())
-                break;
-            index[k] = 0;
-            ++k;
-        }
-        done = k == index.size();
-    }
-
+    for (const KnobConfig &candidate : candidates)
+        batch.push_back(Comparison{baseline, candidate});
     std::vector<ABTestResult> results = evaluate(batch, spec);
 
     KnobConfig bestConfig = baseline;
@@ -851,22 +985,7 @@ Usku::sweepExhaustive(const TestPlan &plan, const KnobConfig &baseline,
             bestConfig = candidates[i];
         }
     }
-
-    for (const KnobPlan &knobPlan : plan.knobs) {
-        KnobSweep sweep;
-        sweep.id = knobPlan.id;
-        KnobOutcome outcome;
-        outcome.value = KnobValue::fromConfig(knobPlan.id, bestConfig);
-        outcome.meanMips = bestMean;
-        outcome.gainPercent =
-            map.baselineMips > 0.0
-                ? (bestMean / map.baselineMips - 1.0) * 100.0
-                : 0.0;
-        outcome.significant = !(bestConfig == baseline);
-        outcome.isBaseline = bestConfig == baseline;
-        sweep.outcomes.push_back(outcome);
-        map.sweeps.push_back(std::move(sweep));
-    }
+    collapseToBest(map, plan, bestConfig, bestMean);
     return map;
 }
 
@@ -904,33 +1023,23 @@ Usku::sweepHillClimb(const TestPlan &plan, const KnobConfig &baseline,
 
             const KnobValue *bestValue = nullptr;
             double bestGain = 0.0;
-            ABTestResult bestTest;
             for (size_t i = 0; i < results.size(); ++i) {
                 const ABTestResult &test = results[i];
                 if (test.significant && test.gainPercent() > bestGain) {
                     bestGain = test.gainPercent();
                     bestValue = probed[i];
-                    bestTest = test;
                 }
             }
             if (bestValue) {
                 bestValue->applyTo(current);
                 moved = true;
-                KnobSweep sweep;
-                sweep.id = knobPlan.id;
-                sweep.outcomes.push_back(makeOutcome(*bestValue, bestTest));
-                sweep.outcomes.back().significant = true;
-                map.sweeps.push_back(std::move(sweep));
             }
         }
         if (!moved)
             break;
     }
 
-    // Collapse to one final sweep entry per knob reflecting `current`.
-    DesignSpaceMap collapsed;
-    collapsed.baseline = baseline;
-    collapsed.baselineMips = map.baselineMips;
+    // One sweep entry per knob reflecting where the climb ended.
     for (const KnobPlan &knobPlan : plan.knobs) {
         KnobSweep sweep;
         sweep.id = knobPlan.id;
@@ -938,16 +1047,16 @@ Usku::sweepHillClimb(const TestPlan &plan, const KnobConfig &baseline,
         outcome.value = KnobValue::fromConfig(knobPlan.id, current);
         outcome.meanMips = env_.trueMips(current);
         outcome.gainPercent =
-            collapsed.baselineMips > 0.0
-                ? (outcome.meanMips / collapsed.baselineMips - 1.0) * 100.0
+            map.baselineMips > 0.0
+                ? (outcome.meanMips / map.baselineMips - 1.0) * 100.0
                 : 0.0;
         KnobValue baseValue = KnobValue::fromConfig(knobPlan.id, baseline);
         outcome.isBaseline = outcome.value == baseValue;
         outcome.significant = !outcome.isBaseline;
         sweep.outcomes.push_back(outcome);
-        collapsed.sweeps.push_back(std::move(sweep));
+        map.sweeps.push_back(std::move(sweep));
     }
-    return collapsed;
+    return map;
 }
 
 namespace {
@@ -993,62 +1102,14 @@ Usku::sweepRace(const TestPlan &plan, const KnobConfig &baseline,
     map.baseline = baseline;
     map.baselineMips = env_.trueMips(baseline);
 
-    const PlatformSpec &platform = env_.platform();
     const BaiOptions baiOptions = baiOptionsFor(spec);
-
-    // Group state: each knob races its candidate arms against each
-    // other; the knob's baseline value sits outside the race (it is
-    // the implicit zero-gain reference every arm is measured against).
-    struct Arm
-    {
-        const KnobValue *value = nullptr;
-        KnobConfig candidate;
-        /** Latest cumulative window state (every pull returns the
-         *  whole window so far). */
-        ABTestResult last;
-        /** Snapshot at the moment the fixed protocol would have
-         *  stopped — bit-identical to a fixed-mode measurement of this
-         *  comparison, because the window runs on the same stream with
-         *  the same batch cadence. */
-        ABTestResult fixed;
-        double elapsedSec = 0.0;
-        bool aborted = false;       //!< guardrail/crash withdrawal
-        bool dead = false;          //!< window died after parking
-    };
-    struct Slot
-    {
-        const KnobValue *value = nullptr;
-        bool isBaseline = false;
-        size_t armIndex = 0;
-    };
-    struct Group
-    {
-        KnobId id = KnobId::CoreFrequency;
-        std::vector<Slot> layout;
-        std::vector<Arm> arms;
-        std::unique_ptr<BaiRace> race;
-        bool done = false;
-    };
-
-    std::vector<Group> groups(plan.knobs.size());
+    std::vector<RaceGroup> groups(plan.knobs.size());
     for (size_t k = 0; k < plan.knobs.size(); ++k) {
-        Group &group = groups[k];
+        RaceGroup &group = groups[k];
         group.id = plan.knobs[k].id;
-        for (const KnobValue &value : plan.knobs[k].values) {
-            KnobConfig candidate = baseline;
-            value.applyTo(candidate);
-            if (candidate.canonical(platform) ==
-                baseline.canonical(platform)) {
-                group.layout.push_back(Slot{&value, true, 0});
-                continue;
-            }
-            group.layout.push_back(
-                Slot{&value, false, group.arms.size()});
-            Arm arm;
-            arm.value = &value;
-            arm.candidate = candidate;
-            group.arms.push_back(std::move(arm));
-        }
+        group.layout = armLayout(plan.knobs[k], baseline, env_.platform(),
+                                 group.candidates);
+        group.arms.resize(group.candidates.size());
         comparisons_ += group.arms.size();
         if (!group.arms.empty()) {
             group.race = std::make_unique<BaiRace>(group.arms.size(),
@@ -1089,7 +1150,7 @@ Usku::sweepRace(const TestPlan &plan, const KnobConfig &baseline,
         };
         std::vector<Ref> refs;
         for (size_t g = 0; g < groups.size(); ++g) {
-            Group &group = groups[g];
+            RaceGroup &group = groups[g];
             if (group.done)
                 continue;
             std::vector<std::size_t> want;
@@ -1120,13 +1181,12 @@ Usku::sweepRace(const TestPlan &plan, const KnobConfig &baseline,
             }
             for (std::size_t i : want) {
                 const BaiArm &raced = group.race->arm(i);
-                ChunkPull pull;
-                pull.task = Comparison{baseline, group.arms[i].candidate};
-                pull.ordinal = raced.chunksPulled;
-                pull.target =
-                    (raced.chunksPulled + 1) * baiOptions.chunkSamples;
-                pull.stopAtVerdict = !raced.parked;
-                batch.push_back(std::move(pull));
+                batch.push_back(ChunkPull{
+                    .task = Comparison{baseline, group.candidates[i]},
+                    .ordinal = raced.chunksPulled,
+                    .target =
+                        (raced.chunksPulled + 1) * baiOptions.chunkSamples,
+                    .stopAtVerdict = !raced.parked});
                 refs.push_back(Ref{g, i});
             }
         }
@@ -1140,8 +1200,8 @@ Usku::sweepRace(const TestPlan &plan, const KnobConfig &baseline,
         // happens here, *before* elimination, so an arm that reached
         // its fixed verdict this round can no longer be struck.
         for (size_t t = 0; t < results.size(); ++t) {
-            Group &group = groups[refs[t].group];
-            Arm &arm = group.arms[refs[t].arm];
+            RaceGroup &group = groups[refs[t].group];
+            RaceGroup::Arm &arm = group.arms[refs[t].arm];
             const ABTestResult &result = results[t];
             arm.elapsedSec += result.elapsedSec;
             if (chunkAborted(result)) {
@@ -1166,74 +1226,13 @@ Usku::sweepRace(const TestPlan &plan, const KnobConfig &baseline,
                     group.race->raiseFloor(result.pairedDiffs.mean());
             }
         }
-        for (Group &group : groups) {
+        for (RaceGroup &group : groups) {
             if (!group.done)
                 group.race->eliminateRound();
         }
     }
 
-    // Synthesize outcomes in plan order (the serial loop keeps the
-    // per-knob histogram's fp accumulation deterministic).
-    std::uint64_t earlyStops = 0;
-    std::uint64_t samplesSaved = 0;
-    for (Group &group : groups) {
-        KnobSweep sweep;
-        sweep.id = group.id;
-        KnobValue baselineValue = KnobValue::fromConfig(group.id, baseline);
-        for (const Slot &slot : group.layout) {
-            if (slot.isBaseline) {
-                KnobOutcome outcome;
-                outcome.value = baselineValue;
-                outcome.meanMips = map.baselineMips;
-                outcome.isBaseline = true;
-                sweep.outcomes.push_back(outcome);
-                continue;
-            }
-            const Arm &arm = group.arms[slot.armIndex];
-            const BaiArm &raced = group.race->arm(slot.armIndex);
-            if (arm.elapsedSec > 0.0) {
-                metrics_
-                    .histogram("sweep.knob_sim_sec." + knobKey(group.id),
-                               MetricScope::Deterministic, 1.0, 1e8)
-                    .add(arm.elapsedSec);
-            }
-            // A parked arm reports its fixed-protocol snapshot — the
-            // bytes a fixed-mode run would have produced for this
-            // comparison.  Everything else (eliminated, capped,
-            // withdrawn) reports its final window state; the composer
-            // skips eliminated arms regardless.
-            const ABTestResult &state = raced.parked ? arm.fixed
-                                                     : arm.last;
-            KnobOutcome outcome;
-            outcome.value = *slot.value;
-            outcome.meanMips = state.samplesB.mean();
-            outcome.gainPercent = state.gainPercent();
-            outcome.gainCiPercent = state.gainCiPercent();
-            outcome.significant = !arm.aborted && state.significant;
-            outcome.samples = state.samplesUsed;
-            outcome.eliminated = raced.eliminated;
-            // Savings count what the race actually paid (the live
-            // window, continuation pulls included) against the fixed
-            // per-test cap the paper's protocol budgets.
-            std::uint64_t paid = raced.gains.count();
-            outcome.samplesSaved = spec.maxSamplesPerTest > paid
-                                       ? spec.maxSamplesPerTest - paid
-                                       : 0;
-            samplesSaved += outcome.samplesSaved;
-            debug("μSKU race: %s = %s → %+0.2f%% (n=%llu%s)",
-                  knobKey(group.id).c_str(), slot.value->label.c_str(),
-                  outcome.gainPercent,
-                  static_cast<unsigned long long>(outcome.samples),
-                  outcome.eliminated ? ", eliminated" : "");
-            sweep.outcomes.push_back(outcome);
-        }
-        if (group.race)
-            earlyStops += group.race->earlyStops();
-        map.sweeps.push_back(std::move(sweep));
-    }
-    metrics_.counter("sweep.early_stops").add(earlyStops);
-    metrics_.counter("sweep.samples_saved").add(samplesSaved);
-    span.arg("early_stops", earlyStops);
+    span.arg("early_stops", raceOutcomes(groups, spec, metrics_, map));
     return map;
 }
 
@@ -1247,41 +1246,13 @@ Usku::sweepHalving(const TestPlan &plan, const KnobConfig &baseline,
 
     // The joint candidate set is the same bounded cross product the
     // exhaustive sweep walks; halving just pays for it adaptively.
-    constexpr size_t kMaxCombinations = 512;
-    size_t combinations = 1;
-    for (const KnobPlan &knobPlan : plan.knobs) {
-        combinations *= knobPlan.values.size();
-        if (combinations > kMaxCombinations) {
-            fatal("μSKU: halving search would need %zu+ combinations "
-                  "(limit %zu); restrict the knob list",
-                  combinations, kMaxCombinations);
-        }
-    }
+    const std::vector<KnobConfig> candidates =
+        crossProduct(plan, baseline, "halving search");
+    comparisons_ += candidates.size();
 
     DesignSpaceMap map;
     map.baseline = baseline;
     map.baselineMips = env_.trueMips(baseline);
-
-    std::vector<size_t> index(plan.knobs.size(), 0);
-    std::vector<KnobConfig> candidates;
-    bool enumerated = plan.knobs.empty();
-    while (!enumerated) {
-        KnobConfig candidate = baseline;
-        for (size_t k = 0; k < plan.knobs.size(); ++k)
-            plan.knobs[k].values[index[k]].applyTo(candidate);
-        if (!(candidate == baseline))
-            candidates.push_back(candidate);
-
-        size_t k = 0;
-        while (k < index.size()) {
-            if (++index[k] < plan.knobs[k].values.size())
-                break;
-            index[k] = 0;
-            ++k;
-        }
-        enumerated = k == index.size();
-    }
-    comparisons_ += candidates.size();
 
     const BaiOptions baiOptions = baiOptionsFor(spec);
     KnobConfig bestConfig = baseline;
@@ -1311,13 +1282,12 @@ Usku::sweepHalving(const TestPlan &plan, const KnobConfig &baseline,
                 const BaiArm &raced = halving.arm(i);
                 if (raced.chunksPulled >= budgetChunks)
                     continue;
-                ChunkPull pull;
-                pull.task = Comparison{baseline, candidates[i]};
-                pull.ordinal = raced.chunksPulled;
-                pull.target = (raced.chunksPulled + 1) *
-                              baiOptions.chunkSamples;
-                pull.stopAtVerdict = stopAtVerdict;
-                batch.push_back(std::move(pull));
+                batch.push_back(ChunkPull{
+                    .task = Comparison{baseline, candidates[i]},
+                    .ordinal = raced.chunksPulled,
+                    .target =
+                        (raced.chunksPulled + 1) * baiOptions.chunkSamples,
+                    .stopAtVerdict = stopAtVerdict});
                 refs.push_back(i);
             }
             std::vector<ABTestResult> results =
@@ -1384,21 +1354,7 @@ Usku::sweepHalving(const TestPlan &plan, const KnobConfig &baseline,
     span.arg("combinations",
              static_cast<std::uint64_t>(candidates.size()));
 
-    for (const KnobPlan &knobPlan : plan.knobs) {
-        KnobSweep sweep;
-        sweep.id = knobPlan.id;
-        KnobOutcome outcome;
-        outcome.value = KnobValue::fromConfig(knobPlan.id, bestConfig);
-        outcome.meanMips = bestMean;
-        outcome.gainPercent =
-            map.baselineMips > 0.0
-                ? (bestMean / map.baselineMips - 1.0) * 100.0
-                : 0.0;
-        outcome.significant = !(bestConfig == baseline);
-        outcome.isBaseline = bestConfig == baseline;
-        sweep.outcomes.push_back(outcome);
-        map.sweeps.push_back(std::move(sweep));
-    }
+    collapseToBest(map, plan, bestConfig, bestMean);
     return map;
 }
 

@@ -259,11 +259,35 @@ class Usku
 
     /** Shared engine behind evaluate()/evaluateChunks(): @p pulls is
      *  null for full fixed-protocol comparisons, else the originating
-     *  chunk pulls (per-slot cumulative targets + stop rule). */
+     *  chunk pulls (per-slot cumulative targets + stop rule).  Runs
+     *  lookup, then guard and measure per task, then commit. */
     std::vector<ABTestResult> evaluateKeyed(
         const std::vector<Comparison> &batch,
-        const std::vector<std::string> &keys,
         const std::vector<ChunkPull> *pulls, const InputSpec &spec);
+
+    /** The memo/cache key of @p task, which also names its noise
+     *  stream; records both configurations as touched this run. */
+    std::string comparisonKey(const Comparison &task);
+
+    /** Serve memo hits into @p results and alias in-batch duplicates
+     *  to their first slot (dup, source); returns the slots left to
+     *  measure. */
+    std::vector<size_t> lookup(
+        const std::vector<std::string> &keys, std::uint64_t batchTag,
+        std::vector<ABTestResult> &results,
+        std::vector<std::pair<size_t, size_t>> &aliases);
+
+    /** Advance the continued window @p windowKey names by one pull. */
+    ABTestResult measurePull(const Comparison &task,
+                             const std::string &windowKey,
+                             const ChunkPull &pull, const InputSpec &spec);
+
+    /** Copy each in-batch duplicate's result from its source, then
+     *  memoize the batch and account each key's first occurrence this
+     *  run. */
+    void commit(const std::vector<std::string> &keys,
+                const std::vector<std::pair<size_t, size_t>> &aliases,
+                std::vector<ABTestResult> &results, bool pulls);
 
     DesignSpaceMap sweepIndependent(const TestPlan &plan,
                                     const KnobConfig &baseline,

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 
+#include "util/file.hh"
 #include "util/json.hh"
+#include "util/logging.hh"
 #include "util/strings.hh"
 
 namespace softsku {
@@ -253,11 +254,12 @@ Tracer::chromeTrace() const
 bool
 Tracer::writeChromeTrace(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
+    if (!writeFileAtomic(path, chromeTrace().dump(1) + "\n")) {
+        warn("could not write trace to %s", path.c_str());
         return false;
-    out << chromeTrace().dump(1) << '\n';
-    return static_cast<bool>(out);
+    }
+    inform("Chrome trace written to %s", path.c_str());
+    return true;
 }
 
 void

@@ -143,7 +143,8 @@ class Tracer
     /** Chrome trace_event document ({"traceEvents": [...]}). */
     Json chromeTrace() const;
 
-    /** Serialize chromeTrace() to @p path; false on I/O failure. */
+    /** Serialize chromeTrace() to @p path (atomically replaced) and
+     *  log the outcome; false on I/O failure. */
     bool writeChromeTrace(const std::string &path) const;
 
     /** Number of spans currently recorded. */

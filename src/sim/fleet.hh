@@ -230,12 +230,6 @@ class FleetSlice
     double fleetMips(double nowSec);
 
     /**
-     * Record one fleet telemetry sample into @p ods under
-     * "fleet.<service>.mips" and "fleet.<service>.online".
-     */
-    void sampleTo(OdsStore &ods, double nowSec);
-
-    /**
      * Apply @p config to server @p index immediately, charging reboot
      * downtime when any changed knob requires one.
      * @return true when a reboot was needed
@@ -280,6 +274,9 @@ class FleetSlice
     const std::vector<FleetServer> &servers() const { return servers_; }
 
   private:
+    /** One rollout() call's state and phases (fleet.cc). */
+    friend class RolloutRun;
+
     /** A scheduled mid-rollout hardware degradation. */
     struct PendingDegradation
     {

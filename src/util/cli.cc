@@ -151,12 +151,8 @@ ToolOptions::apply() const
 void
 ToolOptions::writeTrace() const
 {
-    if (traceOut.empty())
-        return;
-    if (Tracer::global().writeChromeTrace(traceOut))
-        inform("Chrome trace written to %s", traceOut.c_str());
-    else
-        warn("could not write trace to %s", traceOut.c_str());
+    if (!traceOut.empty())
+        Tracer::global().writeChromeTrace(traceOut);
 }
 
 } // namespace softsku

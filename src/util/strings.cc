@@ -117,4 +117,15 @@ join(const std::vector<std::string> &parts, std::string_view sep)
     return out;
 }
 
+std::uint64_t
+fnv1a64(std::string_view text)
+{
+    std::uint64_t hash = 0xCBF29CE484222325ULL;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 0x100000001B3ULL;
+    }
+    return hash;
+}
+
 } // namespace softsku

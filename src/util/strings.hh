@@ -8,6 +8,7 @@
 #ifndef SOFTSKU_UTIL_STRINGS_HH
 #define SOFTSKU_UTIL_STRINGS_HH
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,6 +44,9 @@ std::string format(const char *fmt, ...)
 /** Join the elements of @p parts with @p sep. */
 std::string join(const std::vector<std::string> &parts,
                  std::string_view sep);
+
+/** Stable 64-bit FNV-1a hash of @p text (same value on every build). */
+std::uint64_t fnv1a64(std::string_view text);
 
 } // namespace softsku
 

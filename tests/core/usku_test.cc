@@ -140,6 +140,10 @@ TEST(UskuDeathTest, ExhaustiveSweepRefusesHugeSpaces)
     InputSpec s = spec("web", "skylake18");   // all 7 knobs
     s.sweep = SweepMode::Exhaustive;
     EXPECT_EXIT(tool.run(s), testing::ExitedWithCode(1), "exhaustive");
+    // Halving walks the same bounded cross product.
+    InputSpec halving = spec("web", "skylake18");
+    halving.search = SearchMode::Halving;
+    EXPECT_EXIT(tool.run(halving), testing::ExitedWithCode(1), "halving");
 }
 
 TEST(Usku, HillClimbFindsSameThpWin)

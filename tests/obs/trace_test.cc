@@ -118,10 +118,11 @@ TEST(Trace, SpanCountsReconcileWithReport)
     // Point events: one cumulative cache-hit counter sample per hit,
     // and a fault instant for every crashed / failed-apply attempt.
     EXPECT_EQ(run.count("sweep.cache_hits_total"), report.cacheHits);
-    if (report.faults.crashes + report.faults.applyFailures > 0)
+    if (report.faults.crashes + report.faults.applyFailures > 0) {
         EXPECT_GE(run.count("fault.crash") +
                       run.count("fault.apply_failure"),
                   1u);
+    }
 }
 
 TEST(Trace, ChromeExportIsValidTraceEventJson)
