@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "common.hh"
@@ -240,9 +239,7 @@ main(int argc, char **argv)
         aggregate.set("savings_vs_fixed",
                       Json(totalFixed / double(totalRace)));
         doc.set("aggregate", std::move(aggregate));
-        std::ofstream out(jsonOut, std::ios::binary);
-        out << doc.dump(2) << "\n";
-        note("wrote %s", jsonOut.c_str());
+        writeJsonOut(jsonOut, doc);
     }
 
     return failed ? EXIT_FAILURE : EXIT_SUCCESS;

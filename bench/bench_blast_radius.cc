@@ -24,7 +24,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "common.hh"
@@ -300,9 +299,7 @@ main(int argc, char **argv)
                       Json(static_cast<int>(awareConfigBlamed)));
         aggregate.set("jobs_invariant", Json(identical));
         doc.set("aggregate", std::move(aggregate));
-        std::ofstream out(jsonOut, std::ios::binary);
-        out << doc.dump(2) << "\n";
-        note("wrote %s", jsonOut.c_str());
+        writeJsonOut(jsonOut, doc);
     }
 
     return failed ? EXIT_FAILURE : EXIT_SUCCESS;

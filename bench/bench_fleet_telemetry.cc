@@ -30,7 +30,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -370,9 +369,7 @@ main(int argc, char **argv)
         store.set("rollup_buckets", Json(stats.rollupBuckets));
         store.set("downsampled_points", Json(stats.downsampledPoints));
         doc.set("sharded_store", std::move(store));
-        std::ofstream out(jsonOut, std::ios::binary);
-        out << doc.dump(2) << "\n";
-        note("wrote %s", jsonOut.c_str());
+        writeJsonOut(jsonOut, doc);
     }
 
     return failed ? EXIT_FAILURE : EXIT_SUCCESS;

@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "common.hh"
@@ -142,9 +141,7 @@ main(int argc, char **argv)
                 Json(report.gainOverStockPercent()));
         doc.set("jobs_byte_identical", Json(!failed));
         doc.set("arms", std::move(rows));
-        std::ofstream out(jsonOut, std::ios::binary);
-        out << doc.dump(2) << "\n";
-        note("wrote %s", jsonOut.c_str());
+        writeJsonOut(jsonOut, doc);
     }
 
     return failed ? EXIT_FAILURE : EXIT_SUCCESS;

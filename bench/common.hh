@@ -10,8 +10,10 @@
 #ifndef SOFTSKU_BENCH_COMMON_HH
 #define SOFTSKU_BENCH_COMMON_HH
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,9 @@
 #include "sim/qos.hh"
 #include "sim/service_sim.hh"
 #include "util/cli.hh"
+#include "util/file.hh"
+#include "util/json.hh"
+#include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -57,6 +62,19 @@ note(const char *fmt, ...)
     std::vprintf(fmt, va);
     va_end(va);
     std::printf("\n");
+}
+
+/**
+ * Write @p doc as a --json-out artifact: whole-file and checked, so a
+ * path that cannot be written exits 1 with the reason instead of
+ * reporting a file that does not exist.
+ */
+inline void
+writeJsonOut(const std::string &path, const Json &doc)
+{
+    if (!writeFileAtomic(path, doc.dump(2) + "\n"))
+        fatal("cannot write %s: %s", path.c_str(), std::strerror(errno));
+    note("wrote %s", path.c_str());
 }
 
 } // namespace softsku::bench

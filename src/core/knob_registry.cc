@@ -47,6 +47,7 @@ buildRegistry()
         d.id = KnobId::CoreFrequency;
         d.key = "core_freq";
         d.displayName = "Core frequency";
+        d.affectsEvents = false;
         d.domain = [](const PlatformSpec &platform,
                       const WorkloadProfile &profile) {
             std::vector<KnobValue> domain;
@@ -90,6 +91,7 @@ buildRegistry()
         d.id = KnobId::UncoreFrequency;
         d.key = "uncore_freq";
         d.displayName = "Uncore frequency";
+        d.affectsEvents = false;
         d.domain = [](const PlatformSpec &platform,
                       const WorkloadProfile &) {
             std::vector<KnobValue> domain;
@@ -369,6 +371,7 @@ buildRegistry()
         d.id = KnobId::Mba;
         d.key = "mba";
         d.displayName = "Memory-bandwidth throttle (MBA)";
+        d.affectsEvents = false;
         d.availableOn = hasFarTier;
         d.unavailableReason = kNoFarTier;
         d.domain = [](const PlatformSpec &, const WorkloadProfile &) {
@@ -411,6 +414,7 @@ buildRegistry()
         d.id = KnobId::TierPolicyKnob;
         d.key = "tier_policy";
         d.displayName = "Far-memory promotion policy";
+        d.affectsEvents = false;
         d.availableOn = hasFarTier;
         d.unavailableReason = kNoFarTier;
         d.domain = [](const PlatformSpec &, const WorkloadProfile &) {
@@ -456,6 +460,7 @@ buildRegistry()
         d.id = KnobId::FarMemRatio;
         d.key = "far_mem_ratio";
         d.displayName = "Far-memory placement ratio";
+        d.affectsEvents = false;
         d.availableOn = hasFarTier;
         d.unavailableReason = kNoFarTier;
         d.domain = [](const PlatformSpec &, const WorkloadProfile &) {

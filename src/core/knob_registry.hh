@@ -31,6 +31,17 @@ struct KnobDescriptor
     const char *key = "";             //!< registry key ("core_freq")
     const char *displayName = "";     //!< human-readable name
     bool requiresReboot = false;
+    /**
+     * Whether the knob changes the simulated event stream (cache, TLB,
+     * branch, prefetch and DRAM-fill counts).  Knobs that clear it
+     * enter only the roll-up and the memory model, so configurations
+     * that differ only in them share one event pass (sim/service_sim.hh
+     * eventKnobs()).  True is the safe default: a wrong true costs only
+     * speed, while a wrong false prices a configuration from another
+     * configuration's events.  KnobRegistry.AffectsEventsMatchesTheSimulator
+     * checks every knob's flag against the simulator.
+     */
+    bool affectsEvents = true;
 
     /**
      * Platform-availability predicate; null means the knob exists on

@@ -24,6 +24,7 @@
 #ifndef SOFTSKU_CORE_KNOBS_HH
 #define SOFTSKU_CORE_KNOBS_HH
 
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,7 @@ struct CdpSetting
     int codeWays = 0;
 
     bool operator==(const CdpSetting &) const = default;
+    auto operator<=>(const CdpSetting &) const = default;
 };
 
 /** A full soft-SKU configuration: a value for each registered knob. */
@@ -99,6 +101,8 @@ struct KnobConfig
     double farMemRatio = 0.0;
 
     bool operator==(const KnobConfig &) const = default;
+    /** Memberwise order, so configurations can key ordered maps. */
+    auto operator<=>(const KnobConfig &) const = default;
 
     /** Resolve activeCores against a platform (0 → total). */
     int resolvedCores(const PlatformSpec &platform) const;

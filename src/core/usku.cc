@@ -649,10 +649,19 @@ Usku::run(const InputSpec &specIn)
     metrics_.counter("faults.abandoned").add(report.faults.abandoned);
 
     // Operational rows: scheduling and wall-clock facts that must stay
-    // out of the byte-compared report body.
+    // out of the byte-compared report body.  The pricing-stage counts
+    // belong here too: they are the environment's, cumulative over
+    // every run sharing its cache, and a cache-served rerun prices
+    // nothing while it must snapshot the cold run's deterministic rows.
+    MetricScope op = MetricScope::Operational;
+    metrics_.gauge("qos.solves", op)
+        .set(static_cast<double>(env_.qosSolves()));
+    metrics_.gauge("sim.event_passes", op)
+        .set(static_cast<double>(env_.eventPasses()));
+    metrics_.gauge("sim.rollups", op)
+        .set(static_cast<double>(env_.configsSimulated()));
     if (pool_) {
         ThreadPoolStats poolStats = pool_->stats();
-        MetricScope op = MetricScope::Operational;
         metrics_.gauge("pool.submitted", op)
             .set(static_cast<double>(poolStats.submitted));
         metrics_.gauge("pool.executed", op)

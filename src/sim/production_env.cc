@@ -1,6 +1,8 @@
 #include "sim/production_env.hh"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <utility>
 
 #include "util/logging.hh"
@@ -20,7 +22,67 @@ mix64(std::uint64_t x)
     return x;
 }
 
+/**
+ * One memoized stage: each key's value is computed once, by the first
+ * caller.  A concurrent caller for the same key waits for that result
+ * instead of repeating the work; callers for distinct keys compute in
+ * parallel, outside the map lock.  std::map nodes are stable, so a
+ * returned reference stays valid after the lock drops.
+ */
+template <class Key, class Value>
+class Memo
+{
+  public:
+    template <class Compute>
+    const Value &
+    get(const Key &key, Compute &&compute)
+    {
+        Slot *slot;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            slot = &slots_[key];
+        }
+        std::call_once(slot->once, [&] { slot->value = compute(); });
+        return slot->value;
+    }
+
+    /** Keys computed or being computed: one computation each. */
+    size_t
+    size() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return slots_.size();
+    }
+
+  private:
+    struct Slot
+    {
+        std::once_flag once;
+        Value value;
+    };
+
+    mutable std::mutex mutex_;
+    std::map<Key, Slot> slots_;
+};
+
 } // namespace
+
+/**
+ * Pricing a configuration is three stages, each memoized on exactly
+ * what it reads:
+ *
+ *  - the QoS solve reads the active core count alone;
+ *  - the event pass reads the eventKnobs() projection (cores, CDP,
+ *    prefetchers, THP, SHP);
+ *  - the roll-up reads the event pass and the full actuated
+ *    configuration.
+ */
+struct ProductionEnvironment::SimulationCache
+{
+    Memo<int, ServiceOperatingPoint> operatingPoints;
+    Memo<KnobConfig, EventSummary> eventPasses;
+    Memo<KnobConfig, CounterSet> entries;
+};
 
 ProductionEnvironment::ProductionEnvironment(const WorkloadProfile &profile,
                                              const PlatformSpec &platform,
@@ -35,35 +97,37 @@ ProductionEnvironment::ProductionEnvironment(const WorkloadProfile &profile,
 const CounterSet &
 ProductionEnvironment::counters(const KnobConfig &config)
 {
-    // Canonical key: "all cores" and "18 cores" are one simulation on
-    // an 18-core platform.  Entries are immutable once inserted and
-    // std::map nodes are stable, so returning a reference after the
-    // lock drops is safe.
-    KnobConfig canonical = config.canonical(platform_);
-    std::string key = canonical.describe();
-    {
-        std::lock_guard<std::mutex> lock(cache_->mutex);
-        auto it = cache_->entries.find(key);
-        if (it != cache_->entries.end())
-            return it->second;
-    }
-
-    // Simulate outside the lock so concurrent sweep tasks overlap
-    // distinct configurations; a duplicate race wastes one simulation
-    // but the first insert wins and results are deterministic anyway.
-    SimOptions opts = simOpts_;
-    opts.seed = seed_;
-    CounterSet result =
-        simulateService(profile_, platform_, canonical, opts);
-    std::lock_guard<std::mutex> lock(cache_->mutex);
-    return cache_->entries.emplace(std::move(key), result).first->second;
+    // Keyed on the actuated form: "all cores" and "18 cores", or 2.0
+    // and 2.2 - 0.2 GHz, are one configuration to the server.
+    const KnobConfig actuated = actuatedKnobs(config, platform_);
+    return cache_->entries.get(actuated, [&] {
+        const KnobConfig structural = eventKnobs(actuated, platform_);
+        const EventSummary &events =
+            cache_->eventPasses.get(structural, [&] {
+                SimOptions opts = simOpts_;
+                opts.seed = seed_;
+                return runEvents(profile_, platform_, structural, opts);
+            });
+        return rollup(events, profile_, platform_, actuated);
+    });
 }
 
 size_t
 ProductionEnvironment::configsSimulated() const
 {
-    std::lock_guard<std::mutex> lock(cache_->mutex);
     return cache_->entries.size();
+}
+
+size_t
+ProductionEnvironment::eventPasses() const
+{
+    return cache_->eventPasses.size();
+}
+
+size_t
+ProductionEnvironment::qosSolves() const
+{
+    return cache_->operatingPoints.size();
 }
 
 ProductionEnvironment
@@ -82,22 +146,12 @@ ProductionEnvironment::clone(std::uint64_t streamId) const
 const ServiceOperatingPoint &
 ProductionEnvironment::operatingPoint(const KnobConfig &config)
 {
-    KnobConfig canonical = config.canonical(platform_);
-    std::string key = canonical.describe();
-    {
-        std::lock_guard<std::mutex> lock(cache_->mutex);
-        auto it = cache_->operatingPoints.find(key);
-        if (it != cache_->operatingPoints.end())
-            return it->second;
-    }
-    // The QoS solve happens outside the lock so concurrent guardrail
-    // checks for distinct configs overlap.  It needs no simulation, so
-    // a candidate the guardrail aborts is never simulated.
-    ServiceOperatingPoint op = solveOperatingPoint(
-        profile_, platform_, seed_, canonical.activeCores);
-    std::lock_guard<std::mutex> lock(cache_->mutex);
-    return cache_->operatingPoints.emplace(std::move(key), op)
-        .first->second;
+    // The solve needs no simulation, so a candidate the guardrail
+    // aborts is never simulated.
+    const int cores = config.resolvedCores(platform_);
+    return cache_->operatingPoints.get(cores, [&] {
+        return solveOperatingPoint(profile_, platform_, seed_, cores);
+    });
 }
 
 void

@@ -9,8 +9,9 @@
  * μSKU's statistics machinery — warm-up discard, sample spacing, 95%
  * confidence, the ~30 k-sample cutoff — has real work to do.
  *
- * Ground-truth performance per knob configuration comes from one
- * deterministic run of the trace-driven simulator and is cached; A/B
+ * Ground-truth performance per knob configuration comes from the
+ * deterministic trace-driven simulator, priced in three memoized
+ * stages (QoS solve, event pass, roll-up; see SimulationCache); A/B
  * samples are drawn around the truth with shared (common-mode) load
  * factors and independent per-server noise, exactly the structure that
  * makes paired A/B measurement beat naive comparison.
@@ -19,11 +20,7 @@
 #ifndef SOFTSKU_SIM_PRODUCTION_ENV_HH
 #define SOFTSKU_SIM_PRODUCTION_ENV_HH
 
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "arch/platform.hh"
 #include "core/knobs.hh"
@@ -77,19 +74,23 @@ class ProductionEnvironment
 
     /**
      * Ground-truth platform MIPS for a configuration at peak load.
-     * Simulated once per distinct *canonical* configuration, then
-     * cached; the cache is shared with every clone() of this
+     * Priced once per distinct actuated configuration (actuatedKnobs),
+     * then cached; the cache is shared with every clone() of this
      * environment and is safe to populate from concurrent sweep tasks.
      */
     double trueMips(const KnobConfig &config);
 
-    /** Full counter set for a configuration (cached with the truth). */
+    /**
+     * Full counter set for a configuration: the roll-up of the event
+     * pass its eventKnobs() projection shares (cached with the truth).
+     */
     const CounterSet &counters(const KnobConfig &config);
 
     /**
-     * Solved peak operating point (QoS-bounded) for a configuration;
-     * computed once per canonical config and cached alongside the
-     * counters.  The sweep engine's QoS guardrail reads this.
+     * Solved peak operating point (QoS-bounded) for a configuration.
+     * The solve reads only the active core count, so it runs once per
+     * core count and every configuration with that count shares it.
+     * The sweep engine's QoS guardrail reads this.
      */
     const ServiceOperatingPoint &operatingPoint(const KnobConfig &config);
 
@@ -154,8 +155,14 @@ class ProductionEnvironment
     /** Draw one single-server sample (used by the validation phase). */
     double sampleMips(const KnobConfig &config, double timeSec);
 
-    /** Number of distinct configurations simulated so far. */
+    /** Distinct configurations priced so far (roll-ups run). */
     size_t configsSimulated() const;
+
+    /** Event passes run so far: distinct eventKnobs() projections. */
+    size_t eventPasses() const;
+
+    /** QoS solves run so far: distinct active core counts. */
+    size_t qosSolves() const;
 
     const WorkloadProfile &profile() const { return profile_; }
     const PlatformSpec &platform() const { return platform_; }
@@ -173,13 +180,9 @@ class ProductionEnvironment
     const EnvironmentNoise &noise() const { return noise_; }
 
   private:
-    /** Truth cache shared between an environment and all its clones. */
-    struct SimulationCache
-    {
-        std::mutex mutex;
-        std::map<std::string, CounterSet> entries;
-        std::map<std::string, ServiceOperatingPoint> operatingPoints;
-    };
+    /** The three stage memos, shared by an environment and all its
+     *  clones (defined in production_env.cc). */
+    struct SimulationCache;
 
     double codePushFactor(double timeSec) const;
 

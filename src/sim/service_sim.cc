@@ -1,10 +1,9 @@
 #include "sim/service_sim.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "cache/cdp.hh"
+#include "core/knob_registry.hh"
 #include "sim/sim_core.hh"
 
 namespace softsku {
@@ -14,9 +13,9 @@ namespace {
 using namespace simcore;
 
 /**
- * The TMAM/DRAM operating point of a finished simulation: the pipeline
+ * The TMAM/DRAM operating point of a finished event pass: the pipeline
  * cost model evaluated at a memory latency found by 12 damped
- * fixed-point iterations against the machine's bandwidth curve.
+ * fixed-point iterations against the memory model's bandwidth curve.
  */
 struct Rollup
 {
@@ -26,55 +25,47 @@ struct Rollup
 };
 
 Rollup
-solveRollup(SimState &sim, const WorkloadProfile &profile,
-            const PlatformSpec &platform)
+solveRollup(const EventSummary &ev, const WorkloadProfile &profile,
+            const PlatformSpec &platform, double ghz, int activeCores,
+            const TieredMemoryModel &memory)
 {
-    Machine &machine = sim.machine;
-    const double ghz = machine.coreFreqGHz();
-    const double n = static_cast<double>(sim.instructions);
+    const double n = static_cast<double>(ev.instructions);
 
-    const double l1iMisses =
-        static_cast<double>(machine.l1i().stats().misses[0]);
-    const double l2CodeMisses =
-        static_cast<double>(machine.l2().stats().misses[0]);
-    const double llcCodeMisses =
-        static_cast<double>(machine.llc().stats().misses[0]);
+    const double l1iMisses = static_cast<double>(ev.l1i.misses[0]);
+    const double l2CodeMisses = static_cast<double>(ev.l2.misses[0]);
+    const double llcCodeMisses = static_cast<double>(ev.llc.misses[0]);
     const double l2CodeHits = std::max(0.0, l1iMisses - l2CodeMisses);
     const double llcCodeHits = std::max(0.0, l2CodeMisses - llcCodeMisses);
 
-    const double mispredicts = static_cast<double>(sim.mispredicts);
-    const double l2DataHitCount = static_cast<double>(sim.l2DataHitCount);
-    const double itlbStlbHits = static_cast<double>(sim.itlbStlbHits);
-    const double itlbWalks = static_cast<double>(sim.itlbWalks);
-    const double dtlbStlbHits = static_cast<double>(sim.dtlbStlbHits);
-    const double dtlbWalks = static_cast<double>(sim.dtlbWalks);
+    const double mispredicts = static_cast<double>(ev.mispredicts);
+    const double l2DataHitCount = static_cast<double>(ev.l2DataHitCount);
+    const double itlbStlbHits = static_cast<double>(ev.itlbStlbHits);
+    const double itlbWalks = static_cast<double>(ev.itlbWalks);
+    const double dtlbStlbHits = static_cast<double>(ev.dtlbStlbHits);
+    const double dtlbWalks = static_cast<double>(ev.dtlbWalks);
 
-    const double llcLatNs = machine.dram().llcLatencyNs();
-    const double walkNs = machine.dram().pageWalkLatencyNs();
+    const double llcLatNs = memory.near().llcLatencyNs();
+    const double walkNs = memory.near().pageWalkLatencyNs();
     const double bytesPerFill =
         kLineBytes * (1.0 + profile.writebackFraction);
-    const double totalFills = static_cast<double>(sim.dramDemandFills +
-                                                  sim.dramPrefetchFills);
+    const double totalFills = static_cast<double>(ev.dramDemandFills +
+                                                  ev.dramPrefetchFills);
 
     // Static huge pages reserved beyond what the service can map are
     // pinned memory lost to the page cache; charge the displacement.
     const double shpWastePenalty =
-        static_cast<double>(sim.pages.wastedShpBytes()) /
+        static_cast<double>(ev.wastedShpBytes) /
         (1024.0 * 1024.0 * 1024.0) * kShpWastePenaltyPerGiB;
 
     // Fraction of the footprint on 2 MiB pages: huge regions cost more
     // per migration when the far tier's promotion daemon is active.
-    double footprintBytes = 0.0;
-    for (const RegionMapping &mapping : sim.pages.mappings())
-        footprintBytes += static_cast<double>(mapping.region->sizeBytes);
     const double hugeFrac =
-        footprintBytes > 0.0
-            ? static_cast<double>(sim.pages.totalHugeBytes()) /
-                  footprintBytes
+        ev.footprintBytes > 0.0
+            ? static_cast<double>(ev.totalHugeBytes) / ev.footprintBytes
             : 0.0;
 
     // Fixed-point state, seeded with the unloaded latency.
-    double memLatencyNs = machine.dram().unloadedLatencyNs();
+    double memLatencyNs = memory.near().unloadedLatencyNs();
     Rollup out;
     for (int iter = 0; iter < 12; ++iter) {
         out.costs = PipelineCosts{};
@@ -97,8 +88,8 @@ solveRollup(SimState &sim, const WorkloadProfile &profile,
             mispredicts * platform.mispredictPenaltyCycles;
 
         out.costs.backEndStallCycles =
-            l2DataHitCount * l2Cyc * 0.20 + sim.wLlcDataHit * llcCyc +
-            sim.wMemData * memCyc + dtlbStlbHits * kStlbHitCycles * 0.5 +
+            l2DataHitCount * l2Cyc * 0.20 + ev.wLlcDataHit * llcCyc +
+            ev.wMemData * memCyc + dtlbStlbHits * kStlbHitCycles * 0.5 +
             dtlbWalks * walkCyc * kDtlbWalkExposure + n * shpWastePenalty;
 
         out.threadIpc = ipcOf(out.costs);
@@ -107,58 +98,43 @@ solveRollup(SimState &sim, const WorkloadProfile &profile,
         // The load balancer keeps CPU utilization at the QoS cap
         // (Sec. 2.3.3), which is what bounds offered memory traffic.
         double bw = totalFills / n * bytesPerFill * coreIps *
-                    static_cast<double>(machine.activeCores()) *
+                    static_cast<double>(activeCores) *
                     profile.cpuUtilizationCap / 1e9;
-        out.op = machine.memory().resolve(bw, hugeFrac);
+        out.op = memory.resolve(bw, hugeFrac);
         // Damped update: the raw fixed point can oscillate around the
         // saturation knee.
         memLatencyNs = 0.5 * memLatencyNs +
                        0.5 * out.op.latencyNs * out.op.backpressure;
     }
-
-    if (getenv("SOFTSKU_DEBUG_COSTS")) {
-        std::fprintf(stderr,
-            "dbg: l1iM=%.0f l2cM=%.0f llccM=%.0f wLlc=%.1f wMem=%.1f "
-            "l2dHit=%llu itlbS=%llu itlbW=%llu dtlbS=%llu dtlbW=%llu "
-            "memLat=%.0f fe=%.0f be=%.0f bs=%.0f base=%.0f\n",
-            l1iMisses, l2CodeMisses, llcCodeMisses, sim.wLlcDataHit,
-            sim.wMemData, (unsigned long long)sim.l2DataHitCount,
-            (unsigned long long)sim.itlbStlbHits,
-            (unsigned long long)sim.itlbWalks,
-            (unsigned long long)sim.dtlbStlbHits,
-            (unsigned long long)sim.dtlbWalks, memLatencyNs,
-            out.costs.frontEndStallCycles, out.costs.backEndStallCycles,
-            out.costs.badSpecCycles, out.costs.baseCycles);
-    }
     return out;
 }
 
-/** Assemble the CounterSet from a finished simulation and its roll-up. */
+/** Assemble the CounterSet from a window's events and its roll-up. */
 CounterSet
-assembleCounters(SimState &sim, const Rollup &rollup,
+assembleCounters(const EventSummary &ev, const Rollup &rollup,
                  const WorkloadProfile &profile,
-                 const PlatformSpec &platform)
+                 const PlatformSpec &platform, double ghz, int activeCores)
 {
     CounterSet out;
-    out.instructions = sim.instructions;
-    std::copy(std::begin(sim.classCounts), std::end(sim.classCounts),
+    out.instructions = ev.instructions;
+    std::copy(std::begin(ev.classCounts), std::end(ev.classCounts),
               std::begin(out.classCounts));
-    out.l1i = sim.machine.l1i().stats();
-    out.l1d = sim.machine.l1d().stats();
-    out.l2 = sim.machine.l2().stats();
-    out.llc = sim.machine.llc().stats();
-    out.itlbL1 = sim.machine.itlb().l1().stats();
-    out.dtlbL1 = sim.machine.dtlb().l1().stats();
-    out.itlbWalks = sim.itlbWalks;
-    out.dtlbWalks = sim.dtlbWalks;
-    out.dtlbLoadMisses = sim.dtlbLoadMisses;
-    out.dtlbStoreMisses = sim.dtlbStoreMisses;
-    out.branches = sim.branches;
-    out.mispredicts = sim.mispredicts;
-    out.btbMisses = sim.btbMisses;
-    out.dramDemandFills = sim.dramDemandFills;
-    out.dramPrefetchFills = sim.dramPrefetchFills;
-    out.contextSwitches = sim.contextSwitches;
+    out.l1i = ev.l1i;
+    out.l1d = ev.l1d;
+    out.l2 = ev.l2;
+    out.llc = ev.llc;
+    out.itlbL1 = ev.itlbL1;
+    out.dtlbL1 = ev.dtlbL1;
+    out.itlbWalks = ev.itlbWalks;
+    out.dtlbWalks = ev.dtlbWalks;
+    out.dtlbLoadMisses = ev.dtlbLoadMisses;
+    out.dtlbStoreMisses = ev.dtlbStoreMisses;
+    out.branches = ev.branches;
+    out.mispredicts = ev.mispredicts;
+    out.btbMisses = ev.btbMisses;
+    out.dramDemandFills = ev.dramDemandFills;
+    out.dramPrefetchFills = ev.dramPrefetchFills;
+    out.contextSwitches = ev.contextSwitches;
 
     double overheadShare = profile.contextSwitch.penaltyFractionMid() +
                            profile.kernelTimeShare;
@@ -174,18 +150,16 @@ assembleCounters(SimState &sim, const Rollup &rollup,
     out.memBackpressure = rollup.op.backpressure;
     out.cswPenaltyFraction = profile.contextSwitch.penaltyFractionMid();
     out.kernelShare = profile.kernelTimeShare + out.cswPenaltyFraction;
-    out.mipsPerCore = out.coreIpc * sim.machine.coreFreqGHz() * 1e3 *
-                      (1.0 - overheadShare);
-    out.platformMips =
-        out.mipsPerCore * static_cast<double>(sim.machine.activeCores());
+    out.mipsPerCore = out.coreIpc * ghz * 1e3 * (1.0 - overheadShare);
+    out.platformMips = out.mipsPerCore * static_cast<double>(activeCores);
     return out;
 }
 
 } // namespace
 
-CounterSet
-simulateService(const WorkloadProfile &profile, const PlatformSpec &platform,
-                const KnobConfig &knobs, const SimOptions &options)
+EventSummary
+runEvents(const WorkloadProfile &profile, const PlatformSpec &platform,
+          const KnobConfig &knobs, const SimOptions &options)
 {
     profile.validate();
     SimState sim(profile, platform, knobs, options);
@@ -196,9 +170,54 @@ simulateService(const WorkloadProfile &profile, const PlatformSpec &platform,
     sim.run(options.warmupInstructions, false);
     sim.clearStats();
     sim.run(options.measureInstructions, true);
+    return sim.summary();
+}
 
-    return assembleCounters(sim, solveRollup(sim, profile, platform),
-                            profile, platform);
+CounterSet
+rollup(const EventSummary &events, const WorkloadProfile &profile,
+       const PlatformSpec &platform, const KnobConfig &knobs)
+{
+    const KnobConfig actuated = actuatedKnobs(knobs, platform);
+    const int cores = actuated.resolvedCores(platform);
+    const TieredMemoryModel memory(platform, actuated.uncoreFreqGHz,
+                                   actuated.mbaPercent,
+                                   actuated.tierPolicy,
+                                   actuated.farMemRatio);
+    return assembleCounters(
+        events,
+        solveRollup(events, profile, platform, actuated.coreFreqGHz, cores,
+                    memory),
+        profile, platform, actuated.coreFreqGHz, cores);
+}
+
+CounterSet
+simulateService(const WorkloadProfile &profile, const PlatformSpec &platform,
+                const KnobConfig &knobs, const SimOptions &options)
+{
+    return rollup(runEvents(profile, platform, knobs, options), profile,
+                  platform, knobs);
+}
+
+KnobConfig
+actuatedKnobs(const KnobConfig &knobs, const PlatformSpec &platform)
+{
+    MsrFile msr;
+    KernelFs fs;
+    actuateKnobs(knobs, platform, msr, fs);
+    return effectiveKnobs(msr, fs, platform);
+}
+
+KnobConfig
+eventKnobs(const KnobConfig &knobs, const PlatformSpec &platform)
+{
+    const KnobConfig unconfigured =
+        effectiveKnobs(MsrFile{}, KernelFs{}, platform);
+    KnobConfig out = knobs;
+    for (const KnobDescriptor &d : knobRegistry()) {
+        if (!d.affectsEvents)
+            d.apply(d.capture(unconfigured), out);
+    }
+    return out;
 }
 
 } // namespace softsku

@@ -2,7 +2,7 @@
  * @file
  * The simulator's hot core: the mutable state of one simulation and the
  * instruction loop that drives it (prewarm, fetch/data/TLB/prefetch
- * paths, kernel bursts, context switches).  simulateService() in
+ * paths, kernel bursts, context switches).  runEvents() in
  * service_sim.cc is its only driver; the header is separate so tests
  * can reach the small pieces (LineRing) directly.
  *
@@ -133,20 +133,9 @@ struct SimState
     std::uint64_t llcDataSeen = 1;
     int foreignCores = 0;
 
-    // Measured-window accumulators (cleared after warmup).
-    std::uint64_t instructions = 0;
-    std::uint64_t classCounts[5] = {0, 0, 0, 0, 0};
-    std::uint64_t branches = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t btbMisses = 0;
-    std::uint64_t itlbStlbHits = 0, itlbWalks = 0;
-    std::uint64_t dtlbStlbHits = 0, dtlbWalks = 0;
-    std::uint64_t dtlbLoadMisses = 0, dtlbStoreMisses = 0;
-    std::uint64_t dramDemandFills = 0, dramPrefetchFills = 0;
-    std::uint64_t contextSwitches = 0;
-    double wLlcDataHit = 0.0;    //!< Σ 1/mlp over L2-miss LLC-hit data
-    double wMemData = 0.0;       //!< Σ 1/mlp over LLC-miss data
-    std::uint64_t l2DataHitCount = 0;
+    /** Measured-window accumulators (cleared after warmup); the cache,
+     *  TLB and page-mapping fields are filled in by summary(). */
+    EventSummary events;
 
     std::uint64_t fetchLine = ~0ull;
     std::uint64_t switchCountdown = 0;
@@ -328,16 +317,16 @@ struct SimState
         }
         if (l2Hit) {
             if (collect)
-                ++l2DataHitCount;
+                ++events.l2DataHitCount;
             return;
         }
         bool llcHit = llcAccess(line, AccessType::Data, false);
         if (collect) {
             if (llcHit) {
-                wLlcDataHit += 1.0 / mlp;
+                events.wLlcDataHit += 1.0 / mlp;
             } else {
-                wMemData += 1.0 / mlp;
-                ++dramDemandFills;
+                events.wMemData += 1.0 / mlp;
+                ++events.dramDemandFills;
             }
         }
     }
@@ -351,7 +340,7 @@ struct SimState
             return;
         bool llcHit = llcAccess(line, type, true);
         if (!llcHit)
-            ++dramPrefetchFills;
+            ++events.dramPrefetchFills;
     }
 
     /** Install a prefetch at L1-D, fetching through the hierarchy. */
@@ -366,7 +355,7 @@ struct SimState
             return;
         bool llcHit = llcAccess(line, AccessType::Data, true);
         if (!llcHit)
-            ++dramPrefetchFills;
+            ++events.dramPrefetchFills;
     }
 
     /** Instruction-side access for the line containing @p pc. */
@@ -378,9 +367,9 @@ struct SimState
         auto outcome = machine.itlb().access(pc, pageBytes);
         if (collect) {
             if (outcome == TwoLevelTlb::Outcome::StlbHit)
-                ++itlbStlbHits;
+                ++events.itlbStlbHits;
             else if (outcome == TwoLevelTlb::Outcome::PageWalk)
-                ++itlbWalks;
+                ++events.itlbWalks;
         }
 
         std::uint64_t line = pc / kLineBytes;
@@ -397,7 +386,7 @@ struct SimState
             return;
         bool llcHit = llcAccess(line, AccessType::Code, false);
         if (!llcHit && collect)
-            ++dramDemandFills;
+            ++events.dramDemandFills;
     }
 
     /** Kernel code burst modelling the switch path's instruction feed. */
@@ -422,7 +411,7 @@ struct SimState
     contextSwitch(bool collect)
     {
         if (collect)
-            ++contextSwitches;
+            ++events.contextSwitches;
         bool crossPool = codegen.switchThread();
         datagen.switchThread();
         machine.l1i().disturb(profile.switchDisturbance, disturbRng);
@@ -458,26 +447,26 @@ struct SimState
 
             int cls = static_cast<int>(mixDist.sample(rng));
             if (collect) {
-                ++instructions;
-                ++classCounts[cls];
+                ++events.instructions;
+                ++events.classCounts[cls];
             }
 
             switch (static_cast<InsnClass>(cls)) {
               case InsnClass::Branch: {
                 if (collect)
-                    ++branches;
+                    ++events.branches;
                 bool known = btb.access(pc);
                 bool taken = codegen.executeBranch();
                 double mispredP = profile.branchMispredictRate;
                 if (!known) {
                     if (collect)
-                        ++btbMisses;
+                        ++events.btbMisses;
                     if (taken)
                         mispredP = mispredBtbMiss;
                 }
                 if (rng.chance(mispredP)) {
                     if (collect)
-                        ++mispredicts;
+                        ++events.mispredicts;
                     // Redirect refetches the (possibly same) line.
                     fetchLine = ~0ull;
                 }
@@ -498,13 +487,13 @@ struct SimState
                     // Fig 11's load/store split is at first-level
                     // miss granularity.
                     if (cls == static_cast<int>(InsnClass::Load))
-                        ++dtlbLoadMisses;
+                        ++events.dtlbLoadMisses;
                     else
-                        ++dtlbStoreMisses;
+                        ++events.dtlbStoreMisses;
                     if (outcome == TwoLevelTlb::Outcome::StlbHit)
-                        ++dtlbStlbHits;
+                        ++events.dtlbStlbHits;
                     else
-                        ++dtlbWalks;
+                        ++events.dtlbWalks;
                 }
 
                 std::uint64_t dline = access.addr / kLineBytes;
@@ -553,16 +542,27 @@ struct SimState
         machine.itlb().stlb().stats().clear();
         machine.dtlb().l1().stats().clear();
         machine.dtlb().stlb().stats().clear();
-        instructions = 0;
-        std::fill(std::begin(classCounts), std::end(classCounts), 0ull);
-        branches = mispredicts = btbMisses = 0;
-        itlbStlbHits = itlbWalks = 0;
-        dtlbStlbHits = dtlbWalks = 0;
-        dtlbLoadMisses = dtlbStoreMisses = 0;
-        dramDemandFills = dramPrefetchFills = 0;
-        contextSwitches = 0;
-        wLlcDataHit = wMemData = 0.0;
-        l2DataHitCount = 0;
+        events = EventSummary{};
+    }
+
+    /** The finished window's events, with the cache, TLB and
+     *  page-mapping figures the roll-up reads. */
+    EventSummary
+    summary()
+    {
+        EventSummary out = events;
+        out.l1i = machine.l1i().stats();
+        out.l1d = machine.l1d().stats();
+        out.l2 = machine.l2().stats();
+        out.llc = machine.llc().stats();
+        out.itlbL1 = machine.itlb().l1().stats();
+        out.dtlbL1 = machine.dtlb().l1().stats();
+        out.wastedShpBytes = pages.wastedShpBytes();
+        out.totalHugeBytes = pages.totalHugeBytes();
+        for (const RegionMapping &mapping : pages.mappings())
+            out.footprintBytes +=
+                static_cast<double>(mapping.region->sizeBytes);
+        return out;
     }
 };
 

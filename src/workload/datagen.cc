@@ -1,7 +1,11 @@
 #include "workload/datagen.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -17,6 +21,44 @@ regionWeights(const WorkloadProfile &profile)
     for (const DataRegionSpec &spec : profile.dataRegions)
         weights.push_back(spec.weight);
     return weights;
+}
+
+/**
+ * The Zipf table for (@p n, @p skew), shared by every generator alive
+ * at once: concurrent simulations of one service (sweep tasks pricing
+ * different configurations) build its multi-MiB CDF once, and it is
+ * freed when the last of them ends.  The registry holds only weak
+ * references, so no table outlives its users.  Skew is compared by bit
+ * pattern: equal tables need bitwise-equal inputs.
+ */
+std::shared_ptr<const ZipfDistribution>
+sharedZipf(std::uint64_t n, double skew)
+{
+    using Key = std::pair<std::uint64_t, std::uint64_t>;
+    static std::mutex mutex;
+    static std::map<Key, std::weak_ptr<const ZipfDistribution>> tables;
+    const Key key{n, std::bit_cast<std::uint64_t>(skew)};
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = tables.find(key);
+        if (it != tables.end()) {
+            if (auto live = it->second.lock())
+                return live;
+        }
+    }
+    // Build outside the lock so generators of other tables never wait
+    // on this one.  A racing builder of the same table loses below and
+    // its copy is freed on return.
+    auto built = std::make_shared<const ZipfDistribution>(n, skew);
+    std::lock_guard<std::mutex> lock(mutex);
+    std::erase_if(tables, [](const auto &entry) {
+        return entry.second.expired();
+    });
+    std::weak_ptr<const ZipfDistribution> &slot = tables[key];
+    if (auto live = slot.lock())
+        return live;
+    slot = built;
+    return built;
 }
 
 } // namespace
@@ -62,8 +104,7 @@ DataGenerator::DataGenerator(const WorkloadProfile &profile,
                                               lines)
                     : lines;
             state.chunkCount = hotLines;
-            state.chunkZipf = std::make_unique<ZipfDistribution>(
-                hotLines, state.spec->zipfSkew);
+            state.chunkZipf = sharedZipf(hotLines, state.spec->zipfSkew);
         }
         regions_.push_back(std::move(state));
     }

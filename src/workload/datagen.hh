@@ -59,6 +59,14 @@ class DataGenerator
     /** Model a thread switch: restart cursors in a different request. */
     void switchThread();
 
+    /** Region @p index's popularity table; null unless it is a Random
+     *  or PointerChase region. */
+    std::shared_ptr<const ZipfDistribution>
+    zipfTable(std::uint32_t index) const
+    {
+        return regions_[index].chunkZipf;
+    }
+
   private:
     /** Generate a fresh address by the selected region's pattern. */
     DataAccess fresh();
@@ -69,7 +77,9 @@ class DataGenerator
         std::uint64_t base = 0;
         std::uint64_t size = 0;
         std::uint64_t cursor = 0;
-        std::unique_ptr<ZipfDistribution> chunkZipf;
+        /** Shared with every live generator that has a region of the
+         *  same size and skew (sharedZipf in datagen.cc). */
+        std::shared_ptr<const ZipfDistribution> chunkZipf;
         std::uint64_t chunkCount = 0;
         double mlp = 1.0;
     };

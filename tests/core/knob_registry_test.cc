@@ -4,6 +4,7 @@
 
 #include "core/knob_registry.hh"
 #include "services/services.hh"
+#include "sim/service_sim.hh"
 
 namespace softsku {
 namespace {
@@ -156,6 +157,50 @@ TEST(KnobRegistry, FlatV2DocumentsStillParse)
     EXPECT_EQ(parsed.mbaPercent, 100);
     EXPECT_EQ(parsed.tierPolicy, TierPolicy::Static);
     EXPECT_DOUBLE_EQ(parsed.farMemRatio, 0.0);
+}
+
+TEST(KnobRegistry, AffectsEventsMatchesTheSimulator)
+{
+    // Every registered knob's whole domain, at a tiny window, on the
+    // platform where all knobs exist: the event pass must move for some
+    // value iff the descriptor says it can.  A wrong false would let
+    // configurations share an event pass they do not share.
+    const PlatformSpec &platform = skylake18cxl();
+    const WorkloadProfile &profile = webProfile();
+    SimOptions opts;
+    opts.warmupInstructions = 20'000;
+    opts.measureInstructions = 30'000;
+    const KnobConfig base = stockConfig(platform, profile);
+    const EventSummary baseEvents =
+        runEvents(profile, platform, base, opts);
+
+    for (const KnobDescriptor &d : knobRegistry()) {
+        SCOPED_TRACE(d.key);
+        bool moved = false;
+        for (const KnobValue &value : d.domain(platform, profile)) {
+            KnobConfig config = base;
+            d.apply(value, config);
+            moved |= !(runEvents(profile, platform, config, opts) ==
+                       baseEvents);
+        }
+        EXPECT_EQ(moved, d.affectsEvents);
+    }
+}
+
+TEST(KnobRegistry, EventKnobsKeepsExactlyTheEventKnobs)
+{
+    const PlatformSpec &platform = skylake18cxl();
+    KnobConfig config = legacyExample();
+    config.mbaPercent = 70;
+    config.tierPolicy = TierPolicy::Aggressive;
+    config.farMemRatio = 0.40;
+    const KnobConfig projected = eventKnobs(config, platform);
+    const KnobConfig unconfigured = actuatedKnobs(KnobConfig{}, platform);
+    for (const KnobDescriptor &d : knobRegistry()) {
+        SCOPED_TRACE(d.key);
+        const KnobConfig &expected = d.affectsEvents ? config : unconfigured;
+        EXPECT_EQ(d.capture(projected).label, d.capture(expected).label);
+    }
 }
 
 TEST(KnobRegistryDeathTest, UnknownKeyListsValidKeys)

@@ -189,5 +189,39 @@ TEST(SoftSkuGenerator, ValidationLogsToOds)
     EXPECT_GT(soft.mean, ref.mean);
 }
 
+double
+metricValue(const MetricsSnapshot &snapshot, const std::string &name)
+{
+    for (const MetricRow &row : snapshot.rows) {
+        if (row.name == name)
+            return row.value;
+    }
+    ADD_FAILURE() << "no metric " << name;
+    return -1.0;
+}
+
+TEST(UskuPricing, StageCountsOfAFixedSearchWebSweep)
+{
+    // The tune_web default: every knob, independent sweep, fixed
+    // search, benign.  Frequencies price from the production config's
+    // event pass, so 43 configurations need only 33 event passes; the
+    // QoS guardrail is off, so nothing is solved.  The counts do not
+    // depend on the pool size.
+    for (unsigned jobs : {1u, 2u}) {
+        SCOPED_TRACE(jobs);
+        ProductionEnvironment env(webProfile(), skylake18(), 1,
+                                  fastOptions());
+        UskuOptions options;
+        options.jobs = jobs;
+        Usku tool(env, options);
+        UskuReport report = tool.run(spec("web", "skylake18"));
+        MetricsSnapshot metrics = tool.fullMetrics();
+        EXPECT_EQ(report.configsEvaluated, 43u);
+        EXPECT_EQ(metricValue(metrics, "sim.rollups"), 43.0);
+        EXPECT_EQ(metricValue(metrics, "sim.event_passes"), 33.0);
+        EXPECT_EQ(metricValue(metrics, "qos.solves"), 0.0);
+    }
+}
+
 } // namespace
 } // namespace softsku

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "services/services.hh"
 #include "sim/production_env.hh"
 #include "stats/running_stat.hh"
@@ -154,6 +157,114 @@ TEST(ProductionEnv, ClonesShareTheTruthCache)
     ProductionEnvironment other = env.clone(4);
     other.trueMips(b);
     EXPECT_EQ(env.configsSimulated(), 2u);
+}
+
+/** Configurations of @p base that differ only in knobs that do not
+ *  change the event stream. */
+std::vector<KnobConfig>
+nonEventVariants(const KnobConfig &base)
+{
+    std::vector<KnobConfig> out(6, base);
+    out[1].coreFreqGHz = 1.8;
+    out[2].uncoreFreqGHz = 1.5;
+    out[3].mbaPercent = 70;
+    out[4].tierPolicy = TierPolicy::Aggressive;
+    out[5].farMemRatio = 0.40;
+    return out;
+}
+
+TEST(ProductionEnv, QosSolvedOncePerCoreCount)
+{
+    const PlatformSpec &platform = skylake18();
+    ProductionEnvironment env(ads2Profile(), platform, 3, fastOptions());
+    KnobConfig base = productionConfig(platform, ads2Profile());
+    KnobConfig other = base;
+    other.coreFreqGHz = 1.7;
+    other.thp = ThpMode::Never;
+    other.cdp = {true, 4, 7};
+    other.activeCores = platform.totalCores();   // "all", spelled out
+
+    const ServiceOperatingPoint &op = env.operatingPoint(base);
+    EXPECT_EQ(&env.operatingPoint(other), &op);
+    EXPECT_EQ(env.qosSolves(), 1u);
+    EXPECT_EQ(env.configsSimulated(), 0u);
+
+    ServiceOperatingPoint direct =
+        solveOperatingPoint(ads2Profile(), platform, 3, 0);
+    EXPECT_EQ(op.peakQps, direct.peakQps);
+    EXPECT_EQ(op.meanLatencySec, direct.meanLatencySec);
+    EXPECT_EQ(op.p99LatencySec, direct.p99LatencySec);
+    EXPECT_EQ(op.cpuUtilization, direct.cpuUtilization);
+
+    KnobConfig fewer = base;
+    fewer.activeCores = 8;
+    env.clone(5).operatingPoint(fewer);
+    EXPECT_EQ(env.qosSolves(), 2u);
+}
+
+TEST(ProductionEnv, NonEventKnobsShareOneEventPass)
+{
+    const PlatformSpec &platform = skylake18cxl();
+    const WorkloadProfile &profile = feed1Profile();
+    ProductionEnvironment env(profile, platform, 1, fastOptions());
+    std::vector<KnobConfig> configs =
+        nonEventVariants(stockConfig(platform, profile));
+    for (const KnobConfig &config : configs) {
+        EXPECT_EQ(env.counters(config),
+                  simulateService(profile, platform, config, fastOptions()));
+    }
+    EXPECT_EQ(env.eventPasses(), 1u);
+    EXPECT_EQ(env.configsSimulated(), configs.size());
+
+    KnobConfig structural = configs[0];
+    structural.thp = ThpMode::Never;
+    env.trueMips(structural);
+    EXPECT_EQ(env.eventPasses(), 2u);
+}
+
+TEST(ProductionEnv, ConcurrentPricingRunsEachStageOnce)
+{
+    // Sweep tasks price the same configurations from many threads at
+    // once: every stage still runs once per key, and every thread sees
+    // the one result.
+    SimOptions tiny;
+    tiny.warmupInstructions = 20'000;
+    tiny.measureInstructions = 30'000;
+    const PlatformSpec &platform = skylake18cxl();
+    ProductionEnvironment env(feed1Profile(), platform, 1, tiny);
+    std::vector<KnobConfig> configs =
+        nonEventVariants(stockConfig(platform, feed1Profile()));
+    KnobConfig structural = configs[0];
+    structural.prefetch = PrefetcherPreset::AllOff;
+    configs.push_back(structural);
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<double>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ProductionEnvironment slice = env.clone(t);
+            for (size_t i = 0; i < configs.size(); ++i) {
+                const KnobConfig &config =
+                    configs[(i + static_cast<size_t>(t)) % configs.size()];
+                seen[t].push_back(slice.trueMips(config));
+                slice.operatingPoint(config);
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(env.configsSimulated(), configs.size());
+    EXPECT_EQ(env.eventPasses(), 2u);
+    EXPECT_EQ(env.qosSolves(), 1u);
+    for (int t = 0; t < kThreads; ++t) {
+        for (size_t i = 0; i < configs.size(); ++i) {
+            EXPECT_EQ(seen[t][i],
+                      env.trueMips(configs[(i + static_cast<size_t>(t)) %
+                                           configs.size()]));
+        }
+    }
 }
 
 } // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "services/services.hh"
 #include "workload/address_space.hh"
@@ -138,6 +140,33 @@ TEST(Datagen, AddressesStayInsideRegions)
         EXPECT_LT(access.addr, base + size);
         EXPECT_GE(access.mlp, 1.0);
     }
+}
+
+TEST(Datagen, ConcurrentGeneratorsShareOneZipfTable)
+{
+    // Two simulations of one service alive at once (two sweep tasks)
+    // build each popularity table once; the last one to end frees it.
+    const WorkloadProfile &profile = webProfile();
+    AddressSpace space = layoutAddressSpace(profile);
+    std::uint32_t zipfRegion = 0;
+    while (profile.dataRegions[zipfRegion].pattern != DataPattern::Random)
+        ++zipfRegion;
+
+    std::weak_ptr<const ZipfDistribution> table;
+    {
+        std::unique_ptr<DataGenerator> a, b;
+        std::thread builder(
+            [&] { a = std::make_unique<DataGenerator>(profile, space, 1); });
+        b = std::make_unique<DataGenerator>(profile, space, 2);
+        builder.join();
+
+        ASSERT_NE(a->zipfTable(zipfRegion), nullptr);
+        EXPECT_EQ(a->zipfTable(zipfRegion), b->zipfTable(zipfRegion));
+        table = a->zipfTable(zipfRegion);
+        a.reset();
+        EXPECT_FALSE(table.expired());
+    }
+    EXPECT_TRUE(table.expired());
 }
 
 TEST(Datagen, ReuseFractionControlsDistinctLines)
