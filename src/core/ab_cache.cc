@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -59,17 +60,63 @@ statToJson(const RunningStat &stat)
     return doc;
 }
 
+// ---- typed member readers: false when absent or of the wrong type -------
+
 bool
-statFromJson(const Json &doc, RunningStat &out)
+readHex(const Json &node, double &out)
 {
-    if (!doc.isObject())
+    return node.isString() && bitsFromHex(node.asString(), out);
+}
+
+bool
+readBits(const Json &doc, const char *key, double &out)
+{
+    const Json *node = doc.find(key);
+    return node && readHex(*node, out);
+}
+
+bool
+readCount(const Json &doc, const char *key, std::uint64_t &out)
+{
+    // Non-negative and at most 2^53, where a double still counts every
+    // integer; the bound also keeps the conversion defined.
+    const Json *node = doc.find(key);
+    if (!node || !node->isNumber() || !(node->asNumber() >= 0.0) ||
+        node->asNumber() > 9007199254740992.0)
         return false;
+    out = static_cast<std::uint64_t>(node->asInt());
+    return true;
+}
+
+bool
+readBool(const Json &doc, const char *key, bool &out)
+{
+    const Json *node = doc.find(key);
+    if (!node || !node->isBool())
+        return false;
+    out = node->asBool();
+    return true;
+}
+
+bool
+readConfig(const Json &doc, const char *key, KnobConfig &out)
+{
+    const Json *node = doc.find(key);
+    std::optional<KnobConfig> config =
+        node ? KnobConfig::fromJson(*node) : std::nullopt;
+    if (config)
+        out = *config;
+    return config.has_value();
+}
+
+bool
+readStat(const Json &doc, const char *key, RunningStat &out)
+{
+    const Json *node = doc.find(key);
     RunningStat::State s;
-    s.count = static_cast<std::uint64_t>(doc.at("count").asInt());
-    if (!bitsFromHex(doc.at("mean").asString(), s.mean) ||
-        !bitsFromHex(doc.at("m2").asString(), s.m2) ||
-        !bitsFromHex(doc.at("min").asString(), s.min) ||
-        !bitsFromHex(doc.at("max").asString(), s.max))
+    if (!node || !readCount(*node, "count", s.count) ||
+        !readBits(*node, "mean", s.mean) || !readBits(*node, "m2", s.m2) ||
+        !readBits(*node, "min", s.min) || !readBits(*node, "max", s.max))
         return false;
     out = RunningStat::fromState(s);
     return true;
@@ -125,53 +172,35 @@ resultToJson(const ABTestResult &result)
 bool
 resultFromJson(const Json &doc, ABTestResult &out)
 {
-    if (!doc.isObject() || !doc.contains("welch") ||
-        !doc.contains("faults"))
-        return false;
-    out.configA = KnobConfig::fromJson(doc.at("config_a"));
-    out.configB = KnobConfig::fromJson(doc.at("config_b"));
-    if (!statFromJson(doc.at("samples_a"), out.samplesA) ||
-        !statFromJson(doc.at("samples_b"), out.samplesB) ||
-        !statFromJson(doc.at("paired_diffs"), out.pairedDiffs))
-        return false;
-    const Json &welch = doc.at("welch");
-    if (!bitsFromHex(welch.at("t").asString(), out.welch.tStatistic) ||
-        !bitsFromHex(welch.at("dof").asString(), out.welch.dof) ||
-        !bitsFromHex(welch.at("p").asString(), out.welch.pValue) ||
-        !bitsFromHex(welch.at("mean_diff").asString(),
-                     out.welch.meanDiff) ||
-        !bitsFromHex(welch.at("half_width").asString(),
-                     out.welch.diffHalfWidth))
-        return false;
-    out.welch.significant = welch.at("significant").asBool();
-    out.samplesUsed =
-        static_cast<std::uint64_t>(doc.at("samples_used").asInt());
-    out.samplesAccepted =
-        static_cast<std::uint64_t>(doc.at("samples_accepted").asInt());
-    out.significant = doc.at("significant").asBool();
-    if (!bitsFromHex(doc.at("elapsed_sec").asString(), out.elapsedSec))
-        return false;
-    const Json &faults = doc.at("faults");
-    out.faults.samplesDropped =
-        static_cast<std::uint64_t>(faults.at("dropped").asInt());
-    out.faults.samplesCorrupted =
-        static_cast<std::uint64_t>(faults.at("corrupted").asInt());
-    out.faults.samplesRejected =
-        static_cast<std::uint64_t>(faults.at("rejected").asInt());
-    out.faults.crashes =
-        static_cast<std::uint64_t>(faults.at("crashes").asInt());
-    out.faults.applyFailures =
-        static_cast<std::uint64_t>(faults.at("apply_failures").asInt());
-    out.faults.retries =
-        static_cast<std::uint64_t>(faults.at("retries").asInt());
-    out.faults.guardrailAborts =
-        static_cast<std::uint64_t>(faults.at("guardrail_aborts").asInt());
-    out.faults.abandoned =
-        static_cast<std::uint64_t>(faults.at("abandoned").asInt());
-    out.crashed = doc.at("crashed").asBool();
-    out.applyFailed = doc.at("apply_failed").asBool();
-    out.qosAborted = doc.at("qos_aborted").asBool();
-    return true;
+    const Json *welch = doc.find("welch");
+    const Json *faults = doc.find("faults");
+    FaultTelemetry &f = out.faults;
+    return welch && faults && readConfig(doc, "config_a", out.configA) &&
+           readConfig(doc, "config_b", out.configB) &&
+           readStat(doc, "samples_a", out.samplesA) &&
+           readStat(doc, "samples_b", out.samplesB) &&
+           readStat(doc, "paired_diffs", out.pairedDiffs) &&
+           readBits(*welch, "t", out.welch.tStatistic) &&
+           readBits(*welch, "dof", out.welch.dof) &&
+           readBits(*welch, "p", out.welch.pValue) &&
+           readBits(*welch, "mean_diff", out.welch.meanDiff) &&
+           readBits(*welch, "half_width", out.welch.diffHalfWidth) &&
+           readBool(*welch, "significant", out.welch.significant) &&
+           readCount(doc, "samples_used", out.samplesUsed) &&
+           readCount(doc, "samples_accepted", out.samplesAccepted) &&
+           readBool(doc, "significant", out.significant) &&
+           readBits(doc, "elapsed_sec", out.elapsedSec) &&
+           readCount(*faults, "dropped", f.samplesDropped) &&
+           readCount(*faults, "corrupted", f.samplesCorrupted) &&
+           readCount(*faults, "rejected", f.samplesRejected) &&
+           readCount(*faults, "crashes", f.crashes) &&
+           readCount(*faults, "apply_failures", f.applyFailures) &&
+           readCount(*faults, "retries", f.retries) &&
+           readCount(*faults, "guardrail_aborts", f.guardrailAborts) &&
+           readCount(*faults, "abandoned", f.abandoned) &&
+           readBool(doc, "crashed", out.crashed) &&
+           readBool(doc, "apply_failed", out.applyFailed) &&
+           readBool(doc, "qos_aborted", out.qosAborted);
 }
 
 Json
@@ -198,26 +227,22 @@ chunkToJson(const ValidationChunk &chunk)
 bool
 chunkFromJson(const Json &doc, ValidationChunk &out)
 {
-    if (!doc.isObject() || !doc.contains("points"))
+    const Json *points = doc.find("points");
+    if (!points || !points->isArray() || !readStat(doc, "diffs", out.diffs) ||
+        !readStat(doc, "ref", out.refStat))
         return false;
-    if (!statFromJson(doc.at("diffs"), out.diffs) ||
-        !statFromJson(doc.at("ref"), out.refStat))
-        return false;
-    for (const Json &triple : doc.at("points").elements()) {
-        const auto &parts = triple.elements();
-        if (parts.size() != 3)
-            return false;
+    for (const Json &triple : points->elements()) {
         std::array<double, 3> point{};
+        if (!triple.isArray() || triple.size() != 3)
+            return false;
         for (size_t i = 0; i < 3; ++i)
-            if (!bitsFromHex(parts[i].asString(), point[i]))
+            if (!readHex(triple.at(i), point[i]))
                 return false;
         out.points.push_back(point);
     }
-    out.samples = static_cast<std::uint64_t>(doc.at("samples").asInt());
-    out.dropped = static_cast<std::uint64_t>(doc.at("dropped").asInt());
-    out.rejected =
-        static_cast<std::uint64_t>(doc.at("rejected").asInt());
-    return true;
+    return readCount(doc, "samples", out.samples) &&
+           readCount(doc, "dropped", out.dropped) &&
+           readCount(doc, "rejected", out.rejected);
 }
 
 } // namespace
@@ -313,23 +338,26 @@ loadAbCache(const std::string &dir, const std::string &context,
              error.c_str());
         return 0;
     }
-    if (!doc.contains("schema_version") ||
-        doc.at("schema_version").asInt() != kAbCacheSchemaVersion) {
+    const Json *version = doc.find("schema_version");
+    if (!version || !version->isNumber() ||
+        version->asNumber() != kAbCacheSchemaVersion) {
         warn("ab cache: ignoring %s (schema mismatch)", path.c_str());
         return 0;
     }
     // The full context is verified verbatim: the filename hash only
     // routes; it never authorizes a replay.
-    if (doc.stringOr("context", "") != context) {
+    const Json *stored = doc.find("context");
+    if (!stored || !stored->isString() || stored->asString() != context) {
         warn("ab cache: ignoring %s (context mismatch)", path.c_str());
         return 0;
     }
-    if (!doc.contains("entries") || !doc.at("entries").isObject()) {
+    const Json *entries = doc.find("entries");
+    if (!entries || !entries->isObject()) {
         warn("ab cache: ignoring %s (no entries)", path.c_str());
         return 0;
     }
     std::size_t added = 0;
-    for (const auto &[key, value] : doc.at("entries").members()) {
+    for (const auto &[key, value] : entries->members()) {
         if (into.count(key))
             continue;
         ABTestResult result;
@@ -341,9 +369,9 @@ loadAbCache(const std::string &dir, const std::string &context,
         into.emplace(key, std::move(result));
         ++added;
     }
-    if (validation && doc.contains("validation") &&
-        doc.at("validation").isObject()) {
-        for (const auto &[key, value] : doc.at("validation").members()) {
+    const Json *chunks = validation ? doc.find("validation") : nullptr;
+    if (chunks && chunks->isObject()) {
+        for (const auto &[key, value] : chunks->members()) {
             if (validation->count(key))
                 continue;
             ValidationChunk chunk;

@@ -76,7 +76,9 @@ std::string abCacheFilePath(const std::string &dir,
  * Load the cache file for @p context from @p dir into @p into
  * (existing keys win — in-memory results are never overwritten).
  * Missing files are a clean miss; malformed files and context
- * mismatches are skipped with a warning.  When @p validation is given,
+ * mismatches are skipped with a warning, and so is any entry with a
+ * missing or wrongly typed member while the others still load.  It
+ * never aborts on file content.  When @p validation is given,
  * the file's validation-chunk section loads into it the same way.
  * @return number of comparison entries added
  */

@@ -186,16 +186,15 @@ MeasureSession::pullTo(std::uint64_t targetAccepted,
 }
 
 ABTester::ABTester(ProductionEnvironment &env, const InputSpec &spec,
-                   const RobustnessPolicy &policy,
-                   MetricsRegistry *metrics)
-    : env_(env), spec_(spec), policy_(policy), metrics_(metrics)
+                   const RobustnessPolicy &policy)
+    : env_(env), spec_(spec), policy_(policy)
 {
 }
 
 ABTestResult
 ABTester::compare(const KnobConfig &baseline, const KnobConfig &candidate)
 {
-    ABTestResult result = measure(baseline, candidate, clockSec_);
+    ABTestResult result = compareAt(baseline, candidate, clockSec_);
     clockSec_ += result.elapsedSec;
     return result;
 }
@@ -204,42 +203,20 @@ ABTestResult
 ABTester::compareAt(const KnobConfig &baseline, const KnobConfig &candidate,
                     double startSec)
 {
-    return measure(baseline, candidate, startSec);
-}
-
-ABTestResult
-ABTester::measure(const KnobConfig &baseline, const KnobConfig &candidate,
-                  double startSec)
-{
-    return measureSamples(baseline, candidate, startSec,
-                          spec_.maxSamplesPerTest,
-                          /*stopOnSignificance=*/true);
-}
-
-ABTestResult
-ABTester::measureSamples(const KnobConfig &baseline,
-                         const KnobConfig &candidate, double startSec,
-                         std::uint64_t maxSamples, bool stopOnSignificance)
-{
     // Nests under the sweep's comparison span when one is open on this
     // thread; retries therefore show up as sibling measure spans.
     ScopedSpan span("ab", "ab.measure");
 
+    // One-shot window: a MeasureSession pulled to the cap, so the fixed
+    // protocol and the racing sessions share one loop.
     MeasureSession session(env_, spec_, policy_, baseline, candidate,
                            startSec);
-    ABTestResult result = session.pullTo(maxSamples, stopOnSignificance);
+    ABTestResult result = session.pullTo(spec_.maxSamplesPerTest,
+                                         /*stopOnSignificance=*/true);
     if (result.applyFailed) {
         span.arg("sim_sec", result.elapsedSec);
         span.arg("apply_failed", true);
         return result;
-    }
-
-    if (metrics_) {
-        metrics_->counter("ab.samples_accepted").add(result.samplesUsed);
-        metrics_->counter("ab.samples_rejected")
-            .add(result.faults.samplesRejected);
-        metrics_->counter("ab.samples_dropped")
-            .add(result.faults.samplesDropped);
     }
     span.arg("samples", result.samplesUsed);
     span.arg("sim_sec", result.elapsedSec);

@@ -15,7 +15,6 @@
 
 #include "core/input_spec.hh"
 #include "core/knobs.hh"
-#include "obs/metrics.hh"
 #include "sim/faults.hh"
 #include "sim/production_env.hh"
 #include "stats/running_stat.hh"
@@ -163,13 +162,9 @@ class ABTester
      * @param spec    statistical policy (confidence, caps, spacing)
      * @param policy  fault-defense policy; the default is the benign
      *                behavior (no filtering, no retries)
-     * @param metrics optional registry receiving per-sample counters
-     *                (accepted / MAD-rejected / dropped); counters are
-     *                order-free, so any thread may own the tester
      */
     ABTester(ProductionEnvironment &env, const InputSpec &spec,
-             const RobustnessPolicy &policy = RobustnessPolicy{},
-             MetricsRegistry *metrics = nullptr);
+             const RobustnessPolicy &policy = RobustnessPolicy{});
 
     /**
      * Run one comparison.  Measurement time continues monotonically
@@ -194,20 +189,9 @@ class ABTester
     double elapsedSec() const { return clockSec_; }
 
   private:
-    ABTestResult measure(const KnobConfig &baseline,
-                         const KnobConfig &candidate, double startSec);
-
-    /** One-shot window: a MeasureSession opened and pulled to the cap,
-     *  so the fixed protocol and the racing sessions share one loop. */
-    ABTestResult measureSamples(const KnobConfig &baseline,
-                                const KnobConfig &candidate,
-                                double startSec, std::uint64_t maxSamples,
-                                bool stopOnSignificance);
-
     ProductionEnvironment &env_;
     const InputSpec &spec_;
     RobustnessPolicy policy_;
-    MetricsRegistry *metrics_;
     double clockSec_ = 0.0;
 };
 

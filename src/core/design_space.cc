@@ -14,9 +14,7 @@ KnobValue::applyTo(KnobConfig &config) const
 KnobValue
 KnobValue::fromConfig(KnobId id, const KnobConfig &config)
 {
-    KnobValue value = knobDescriptor(id).capture(config);
-    value.id = id;
-    return value;
+    return knobDescriptor(id).capture(config);
 }
 
 bool
@@ -46,8 +44,6 @@ knobDomain(KnobId id, const PlatformSpec &platform,
 {
     std::vector<KnobValue> domain = knobDescriptor(id).domain(platform,
                                                               profile);
-    for (KnobValue &value : domain)
-        value.id = id;
     SOFTSKU_ASSERT(!domain.empty());
     return domain;
 }

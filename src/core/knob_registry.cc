@@ -1,11 +1,183 @@
 #include "core/knob_registry.hh"
 
+#include <cmath>
+
 #include "util/logging.hh"
 #include "util/strings.hh"
 
 namespace softsku {
 
 namespace {
+
+// ---- JSON and KnobValue slot, once per value type -------------------------
+
+template <typename T>
+struct ValueCodec;
+
+template <>
+struct ValueCodec<double>
+{
+    static constexpr auto slot = &KnobValue::number;
+    static Json encode(double value) { return Json(value); }
+    static bool
+    decode(const Json &node, double &out)
+    {
+        if (!node.isNumber())
+            return false;
+        out = node.asNumber();
+        return true;
+    }
+};
+
+template <>
+struct ValueCodec<int>
+{
+    static constexpr auto slot = &KnobValue::number;
+    static Json encode(int value) { return Json(value); }
+    static bool
+    decode(const Json &node, int &out)
+    {
+        // The range check keeps the cast defined on hostile input.
+        if (!node.isNumber() || !(std::abs(node.asNumber()) < 1e9))
+            return false;
+        out = static_cast<int>(node.asNumber());
+        return true;
+    }
+};
+
+template <>
+struct ValueCodec<CdpSetting>
+{
+    static constexpr auto slot = &KnobValue::cdp;
+    static Json
+    encode(const CdpSetting &cdp)
+    {
+        Json doc = Json::object();
+        doc.set("enabled", Json(cdp.enabled));
+        doc.set("data_ways", Json(cdp.dataWays));
+        doc.set("code_ways", Json(cdp.codeWays));
+        return doc;
+    }
+    static bool
+    decode(const Json &node, CdpSetting &out)
+    {
+        const Json *enabled = node.find("enabled");
+        const Json *data = node.find("data_ways");
+        const Json *code = node.find("code_ways");
+        if (!enabled || !enabled->isBool() || !data || !code)
+            return false;
+        out.enabled = enabled->asBool();
+        return ValueCodec<int>::decode(*data, out.dataWays) &&
+               ValueCodec<int>::decode(*code, out.codeWays);
+    }
+};
+
+/** Enums are spelled by name; decoding accepts any letter case. */
+template <typename E, std::string (*name)(E), std::vector<E> (*all)()>
+struct NamedCodec
+{
+    static Json encode(E value) { return Json(name(value)); }
+    static bool
+    decode(const Json &node, E &out)
+    {
+        if (!node.isString())
+            return false;
+        const std::string text = toLower(node.asString());
+        for (E value : all()) {
+            if (name(value) == text) {
+                out = value;
+                return true;
+            }
+        }
+        return false;
+    }
+};
+
+std::vector<ThpMode>
+thpModes()
+{
+    return {ThpMode::Madvise, ThpMode::Always, ThpMode::Never};
+}
+
+template <>
+struct ValueCodec<PrefetcherPreset>
+    : NamedCodec<PrefetcherPreset, prefetcherPresetKey, allPrefetcherPresets>
+{
+    static constexpr auto slot = &KnobValue::prefetch;
+};
+
+template <>
+struct ValueCodec<ThpMode> : NamedCodec<ThpMode, thpModeName, thpModes>
+{
+    static constexpr auto slot = &KnobValue::thp;
+};
+
+template <>
+struct ValueCodec<TierPolicy>
+    : NamedCodec<TierPolicy, tierPolicyName, allTierPolicies>
+{
+    static constexpr auto slot = &KnobValue::tier;
+};
+
+// ---- the typed half of a record, and the hooks derived from it ------------
+
+/** The facts about a knob that depend on its KnobConfig member's type. */
+template <typename T>
+struct Typed
+{
+    T KnobConfig::*member = nullptr;
+    /** The sweep axis, as raw values. */
+    std::vector<T> (*axis)(const PlatformSpec &platform,
+                           const WorkloadProfile &profile) = nullptr;
+    std::string (*label)(T value) = nullptr;      //!< "2.2 GHz"
+    std::string (*fragment)(T value) = nullptr;   //!< "core=2.2GHz"
+    /** Omit from describe() and JSON at KnobConfig{}'s value. */
+    bool omitAtDefault = false;
+};
+
+/** Complete descriptor @p d with the hooks its typed facts @p t imply. */
+template <typename T>
+KnobDescriptor
+knob(KnobDescriptor d, Typed<T> t)
+{
+    using Codec = ValueCodec<T>;
+    const KnobId id = d.id;
+    const char *key = d.key;
+    auto omitted = [t](const KnobConfig &config) {
+        return t.omitAtDefault && config.*t.member == KnobConfig{}.*t.member;
+    };
+    auto valueOf = [id, t](T raw) {
+        KnobValue value;
+        value.id = id;
+        value.*Codec::slot = raw;
+        value.label = t.label(raw);
+        return value;
+    };
+    d.domain = [t, valueOf](const PlatformSpec &platform,
+                            const WorkloadProfile &profile) {
+        std::vector<KnobValue> domain;
+        for (T raw : t.axis(platform, profile))
+            domain.push_back(valueOf(raw));
+        return domain;
+    };
+    d.apply = [t](const KnobValue &value, KnobConfig &config) {
+        config.*t.member = static_cast<T>(value.*Codec::slot);
+    };
+    d.capture = [t, valueOf](const KnobConfig &config) {
+        return valueOf(config.*t.member);
+    };
+    d.writeJson = [t, key, omitted](const KnobConfig &config, Json &doc) {
+        if (!omitted(config))
+            doc.set(key, Codec::encode(config.*t.member));
+    };
+    d.readJson = [t](const Json &node, KnobConfig &config) {
+        return Codec::decode(node, config.*t.member);
+    };
+    d.describeFragment = [t, omitted](const KnobConfig &config) {
+        return omitted(config) ? std::string() : t.fragment(config.*t.member);
+    };
+    return d;
+}
 
 // ---- shared fragments -----------------------------------------------------
 
@@ -18,21 +190,9 @@ hasFarTier(const PlatformSpec &platform)
 constexpr const char *kNoFarTier = "platform declares no far-memory tier";
 
 std::string
-mbaLabel(int percent)
+cdpWays(CdpSetting cdp)
 {
-    return format("%d%% MB", percent);
-}
-
-std::string
-tierLabel(TierPolicy policy)
-{
-    return format("tier %s", tierPolicyName(policy).c_str());
-}
-
-std::string
-farRatioLabel(double ratio)
-{
-    return format("%.0f%% far", ratio * 100.0);
+    return format("{%dd,%dc}", cdp.dataWays, cdp.codeWays);
 }
 
 // ---- the registry ---------------------------------------------------------
@@ -40,465 +200,169 @@ farRatioLabel(double ratio)
 std::vector<KnobDescriptor>
 buildRegistry()
 {
-    std::vector<KnobDescriptor> reg;
+    // Short names for the axis and applicability lambdas' parameters.
+    using Platform = const PlatformSpec &;
+    using Profile = const WorkloadProfile &;
+    return {
+        knob<double>(
+            {.id = KnobId::CoreFrequency, .key = "core_freq",
+             .legacyKey = "core_freq_ghz", .displayName = "Core frequency",
+             .affectsEvents = false},
+            {.member = &KnobConfig::coreFreqGHz,
+             .axis = [](Platform platform, Profile profile) {
+                 double maxGHz = platform.coreFreqMaxGHz;
+                 if (profile.usesAvx)
+                     maxGHz -= 0.2;   // shared core/uncore power budget
+                 std::vector<double> axis;
+                 for (double f : platform.coreFrequencySettings()) {
+                     if (f <= maxGHz + 1e-9)
+                         axis.push_back(f);
+                 }
+                 return axis;
+             },
+             .label = [](double f) { return format("%.1f GHz", f); },
+             .fragment = [](double f) { return format("core=%.1fGHz", f); }}),
 
-    {   // 1. core frequency
-        KnobDescriptor d;
-        d.id = KnobId::CoreFrequency;
-        d.key = "core_freq";
-        d.displayName = "Core frequency";
-        d.affectsEvents = false;
-        d.domain = [](const PlatformSpec &platform,
-                      const WorkloadProfile &profile) {
-            std::vector<KnobValue> domain;
-            double maxGHz = platform.coreFreqMaxGHz;
-            if (profile.usesAvx)
-                maxGHz -= 0.2;   // shared core/uncore power budget
-            for (double f : platform.coreFrequencySettings()) {
-                if (f > maxGHz + 1e-9)
-                    continue;
-                KnobValue v;
-                v.number = f;
-                v.label = format("%.1f GHz", f);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.coreFreqGHz = value.number;
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.number = config.coreFreqGHz;
-            v.label = format("%.1f GHz", config.coreFreqGHz);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            doc.set("core_freq", Json(config.coreFreqGHz));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            config.coreFreqGHz =
-                doc.numberOr("core_freq", config.coreFreqGHz);
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            return format("core=%.1fGHz", config.coreFreqGHz);
-        };
-        reg.push_back(d);
-    }
+        knob<double>(
+            {.id = KnobId::UncoreFrequency, .key = "uncore_freq",
+             .legacyKey = "uncore_freq_ghz",
+             .displayName = "Uncore frequency", .affectsEvents = false},
+            {.member = &KnobConfig::uncoreFreqGHz,
+             .axis = [](Platform platform, Profile) {
+                 return platform.uncoreFrequencySettings();
+             },
+             .label = [](double f) { return format("%.1f GHz", f); },
+             .fragment =
+                 [](double f) { return format("uncore=%.1fGHz", f); }}),
 
-    {   // 2. uncore frequency
-        KnobDescriptor d;
-        d.id = KnobId::UncoreFrequency;
-        d.key = "uncore_freq";
-        d.displayName = "Uncore frequency";
-        d.affectsEvents = false;
-        d.domain = [](const PlatformSpec &platform,
-                      const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            for (double f : platform.uncoreFrequencySettings()) {
-                KnobValue v;
-                v.number = f;
-                v.label = format("%.1f GHz", f);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.uncoreFreqGHz = value.number;
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.number = config.uncoreFreqGHz;
-            v.label = format("%.1f GHz", config.uncoreFreqGHz);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            doc.set("uncore_freq", Json(config.uncoreFreqGHz));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            config.uncoreFreqGHz =
-                doc.numberOr("uncore_freq", config.uncoreFreqGHz);
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            return format("uncore=%.1fGHz", config.uncoreFreqGHz);
-        };
-        reg.push_back(d);
-    }
-
-    {   // 3. active core count
-        KnobDescriptor d;
-        d.id = KnobId::CoreCount;
-        d.key = "core_count";
-        d.displayName = "Core count";
         // isolcpus is a boot-loader flag (Sec. 5).
-        d.requiresReboot = true;
-        d.domain = [](const PlatformSpec &platform,
-                      const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            for (int cores = 2; cores < platform.totalCores();
-                 cores += 2) {
-                KnobValue v;
-                v.number = cores;
-                v.label = format("%d cores", cores);
-                domain.push_back(std::move(v));
-            }
-            KnobValue v;
-            v.number = platform.totalCores();
-            v.label = format("%d cores", platform.totalCores());
-            domain.push_back(std::move(v));
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.activeCores = static_cast<int>(value.number);
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.number = config.activeCores;
-            v.label = config.activeCores <= 0
-                          ? "all cores"
-                          : format("%d cores", config.activeCores);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            doc.set("core_count", Json(config.activeCores));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            config.activeCores = static_cast<int>(
-                doc.numberOr("core_count", config.activeCores));
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            return format("cores=%s",
-                          config.activeCores <= 0
-                              ? "all"
-                              : format("%d", config.activeCores).c_str());
-        };
-        reg.push_back(d);
-    }
+        knob<int>(
+            {.id = KnobId::CoreCount, .key = "core_count",
+             .legacyKey = "active_cores", .displayName = "Core count",
+             .requiresReboot = true},
+            {.member = &KnobConfig::activeCores,
+             .axis = [](Platform platform, Profile) {
+                 std::vector<int> axis;
+                 for (int cores = 2; cores < platform.totalCores();
+                      cores += 2)
+                     axis.push_back(cores);
+                 axis.push_back(platform.totalCores());
+                 return axis;
+             },
+             .label = [](int cores) {
+                 return cores <= 0 ? std::string("all cores")
+                                   : format("%d cores", cores);
+             },
+             .fragment = [](int cores) {
+                 return cores <= 0 ? std::string("cores=all")
+                                   : format("cores=%d", cores);
+             }}),
 
-    {   // 4. CDP LLC code/data ways
-        KnobDescriptor d;
-        d.id = KnobId::Cdp;
-        d.key = "cdp";
-        d.displayName = "CDP: LLC code/data ways";
-        d.inapplicableReason = [](const PlatformSpec &platform,
-                                  const WorkloadProfile &)
-            -> const char * {
-            if (!platform.supportsRdt)
-                return "platform lacks RDT (CAT/CDP)";
-            return nullptr;
-        };
-        d.domain = [](const PlatformSpec &platform,
-                      const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            KnobValue off;
-            off.label = "CDP off";
-            domain.push_back(std::move(off));
-            for (int data = 1; data < platform.llc.ways; ++data) {
-                int code = platform.llc.ways - data;
-                KnobValue v;
-                v.cdp = {true, data, code};
-                v.label = format("{%dd,%dc}", data, code);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.cdp = value.cdp;
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.cdp = config.cdp;
-            v.label = config.cdp.enabled
-                          ? format("{%dd,%dc}", config.cdp.dataWays,
-                                   config.cdp.codeWays)
-                          : "CDP off";
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            Json cdpDoc = Json::object();
-            cdpDoc.set("enabled", Json(config.cdp.enabled));
-            cdpDoc.set("data_ways", Json(config.cdp.dataWays));
-            cdpDoc.set("code_ways", Json(config.cdp.codeWays));
-            doc.set("cdp", std::move(cdpDoc));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            if (!doc.contains("cdp"))
-                return;
-            const Json &cdpDoc = doc.at("cdp");
-            config.cdp.enabled = cdpDoc.boolOr("enabled", false);
-            config.cdp.dataWays =
-                static_cast<int>(cdpDoc.numberOr("data_ways", 0));
-            config.cdp.codeWays =
-                static_cast<int>(cdpDoc.numberOr("code_ways", 0));
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            return format("cdp=%s",
-                          config.cdp.enabled
-                              ? format("{%dd,%dc}", config.cdp.dataWays,
-                                       config.cdp.codeWays)
-                                    .c_str()
-                              : "off");
-        };
-        reg.push_back(d);
-    }
+        knob<CdpSetting>(
+            {.id = KnobId::Cdp, .key = "cdp", .legacyKey = "cdp",
+             .displayName = "CDP: LLC code/data ways",
+             .inapplicableReason = [](Platform platform,
+                                      Profile) -> const char * {
+                 return platform.supportsRdt
+                            ? nullptr
+                            : "platform lacks RDT (CAT/CDP)";
+             }},
+            {.member = &KnobConfig::cdp,
+             .axis = [](Platform platform, Profile) {
+                 std::vector<CdpSetting> axis{CdpSetting{}};
+                 for (int data = 1; data < platform.llc.ways; ++data)
+                     axis.push_back({true, data, platform.llc.ways - data});
+                 return axis;
+             },
+             .label = [](CdpSetting cdp) {
+                 return cdp.enabled ? cdpWays(cdp) : "CDP off";
+             },
+             .fragment = [](CdpSetting cdp) {
+                 return "cdp=" + (cdp.enabled ? cdpWays(cdp) : "off");
+             }}),
 
-    {   // 5. hardware prefetchers
-        KnobDescriptor d;
-        d.id = KnobId::Prefetcher;
-        d.key = "prefetcher";
-        d.displayName = "Prefetcher";
-        d.domain = [](const PlatformSpec &, const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            for (PrefetcherPreset preset : allPrefetcherPresets()) {
-                KnobValue v;
-                v.prefetch = preset;
-                v.label = prefetcherPresetName(preset);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.prefetch = value.prefetch;
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.prefetch = config.prefetch;
-            v.label = prefetcherPresetName(config.prefetch);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            doc.set("prefetcher",
-                    Json(prefetcherPresetKey(config.prefetch)));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            if (doc.contains("prefetcher"))
-                config.prefetch = prefetcherPresetFromKey(
-                    doc.at("prefetcher").asString());
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            return format("pf=%s",
-                          prefetcherPresetKey(config.prefetch).c_str());
-        };
-        reg.push_back(d);
-    }
+        knob<PrefetcherPreset>(
+            {.id = KnobId::Prefetcher, .key = "prefetcher",
+             .legacyKey = "prefetcher", .displayName = "Prefetcher"},
+            {.member = &KnobConfig::prefetch,
+             .axis = [](Platform, Profile) { return allPrefetcherPresets(); },
+             .label = prefetcherPresetName,
+             .fragment = [](PrefetcherPreset preset) {
+                 return "pf=" + prefetcherPresetKey(preset);
+             }}),
 
-    {   // 6. transparent huge pages
-        KnobDescriptor d;
-        d.id = KnobId::Thp;
-        d.key = "thp";
-        d.displayName = "Transparent huge pages";
-        d.domain = [](const PlatformSpec &, const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            for (ThpMode mode :
-                 {ThpMode::Madvise, ThpMode::Always, ThpMode::Never}) {
-                KnobValue v;
-                v.thp = mode;
-                v.label = "THP " + thpModeName(mode);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.thp = value.thp;
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.thp = config.thp;
-            v.label = "THP " + thpModeName(config.thp);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            doc.set("thp", Json(thpModeName(config.thp)));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            if (doc.contains("thp"))
-                config.thp = thpModeFromString(doc.at("thp").asString());
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            return format("thp=%s", thpModeName(config.thp).c_str());
-        };
-        reg.push_back(d);
-    }
+        knob<ThpMode>(
+            {.id = KnobId::Thp, .key = "thp", .legacyKey = "thp",
+             .displayName = "Transparent huge pages"},
+            {.member = &KnobConfig::thp,
+             .axis = [](Platform, Profile) { return thpModes(); },
+             .label = [](ThpMode mode) { return "THP " + thpModeName(mode); },
+             .fragment =
+                 [](ThpMode mode) { return "thp=" + thpModeName(mode); }}),
 
-    {   // 7. static huge pages
-        KnobDescriptor d;
-        d.id = KnobId::Shp;
-        d.key = "shp";
-        d.displayName = "Static huge pages";
         // SHP reservations are boot-time kernel parameters.
-        d.requiresReboot = true;
-        d.inapplicableReason = [](const PlatformSpec &,
-                                  const WorkloadProfile &profile)
-            -> const char * {
-            if (!profile.usesShp)
-                return "service does not use the SHP allocation APIs";
-            return nullptr;
-        };
-        d.domain = [](const PlatformSpec &, const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            for (int count = 0; count <= 600; count += 100) {
-                KnobValue v;
-                v.number = count;
-                v.label = format("%d SHPs", count);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.shpCount = static_cast<int>(value.number);
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.number = config.shpCount;
-            v.label = format("%d SHPs", config.shpCount);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            doc.set("shp", Json(config.shpCount));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            config.shpCount = static_cast<int>(
-                doc.numberOr("shp", config.shpCount));
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            return format("shp=%d", config.shpCount);
-        };
-        reg.push_back(d);
-    }
+        knob<int>(
+            {.id = KnobId::Shp, .key = "shp", .legacyKey = "shp_count",
+             .displayName = "Static huge pages", .requiresReboot = true,
+             .inapplicableReason = [](Platform, Profile profile)
+                 -> const char * {
+                 return profile.usesShp
+                            ? nullptr
+                            : "service does not use the SHP allocation APIs";
+             }},
+            {.member = &KnobConfig::shpCount,
+             .axis = [](Platform, Profile) {
+                 std::vector<int> axis;
+                 for (int count = 0; count <= 600; count += 100)
+                     axis.push_back(count);
+                 return axis;
+             },
+             .label = [](int count) { return format("%d SHPs", count); },
+             .fragment = [](int count) { return format("shp=%d", count); }}),
 
-    {   // 8. memory-bandwidth throttle (resctrl MBA)
-        KnobDescriptor d;
-        d.id = KnobId::Mba;
-        d.key = "mba";
-        d.displayName = "Memory-bandwidth throttle (MBA)";
-        d.affectsEvents = false;
-        d.availableOn = hasFarTier;
-        d.unavailableReason = kNoFarTier;
-        d.domain = [](const PlatformSpec &, const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            for (int percent : {100, 90, 70, 50, 30}) {
-                KnobValue v;
-                v.number = percent;
-                v.label = mbaLabel(percent);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.mbaPercent = static_cast<int>(value.number);
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.number = config.mbaPercent;
-            v.label = mbaLabel(config.mbaPercent);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            if (config.mbaPercent != 100)
-                doc.set("mba", Json(config.mbaPercent));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            config.mbaPercent = static_cast<int>(
-                doc.numberOr("mba", config.mbaPercent));
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            if (config.mbaPercent == 100)
-                return std::string();
-            return format("mba=%d", config.mbaPercent);
-        };
-        reg.push_back(d);
-    }
+        knob<int>(
+            {.id = KnobId::Mba, .key = "mba",
+             .displayName = "Memory-bandwidth throttle (MBA)",
+             .affectsEvents = false, .availableOn = hasFarTier,
+             .unavailableReason = kNoFarTier},
+            {.member = &KnobConfig::mbaPercent,
+             .axis = [](Platform, Profile) {
+                 return std::vector<int>{100, 90, 70, 50, 30};
+             },
+             .label = [](int percent) { return format("%d%% MB", percent); },
+             .fragment = [](int percent) { return format("mba=%d", percent); },
+             .omitAtDefault = true}),
 
-    {   // 9. far-tier promotion policy
-        KnobDescriptor d;
-        d.id = KnobId::TierPolicyKnob;
-        d.key = "tier_policy";
-        d.displayName = "Far-memory promotion policy";
-        d.affectsEvents = false;
-        d.availableOn = hasFarTier;
-        d.unavailableReason = kNoFarTier;
-        d.domain = [](const PlatformSpec &, const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            for (TierPolicy policy : allTierPolicies()) {
-                KnobValue v;
-                v.tier = policy;
-                v.label = tierLabel(policy);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.tierPolicy = value.tier;
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.tier = config.tierPolicy;
-            v.label = tierLabel(config.tierPolicy);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            if (config.tierPolicy != TierPolicy::Static)
-                doc.set("tier_policy",
-                        Json(tierPolicyName(config.tierPolicy)));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            if (doc.contains("tier_policy"))
-                config.tierPolicy = tierPolicyFromString(
-                    doc.at("tier_policy").asString());
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            if (config.tierPolicy == TierPolicy::Static)
-                return std::string();
-            return format("tier=%s",
-                          tierPolicyName(config.tierPolicy).c_str());
-        };
-        reg.push_back(d);
-    }
+        knob<TierPolicy>(
+            {.id = KnobId::TierPolicyKnob, .key = "tier_policy",
+             .displayName = "Far-memory promotion policy",
+             .affectsEvents = false, .availableOn = hasFarTier,
+             .unavailableReason = kNoFarTier},
+            {.member = &KnobConfig::tierPolicy,
+             .axis = [](Platform, Profile) { return allTierPolicies(); },
+             .label = [](TierPolicy policy) {
+                 return "tier " + tierPolicyName(policy);
+             },
+             .fragment = [](TierPolicy policy) {
+                 return "tier=" + tierPolicyName(policy);
+             },
+             .omitAtDefault = true}),
 
-    {   // 10. far-memory placement ratio
-        KnobDescriptor d;
-        d.id = KnobId::FarMemRatio;
-        d.key = "far_mem_ratio";
-        d.displayName = "Far-memory placement ratio";
-        d.affectsEvents = false;
-        d.availableOn = hasFarTier;
-        d.unavailableReason = kNoFarTier;
-        d.domain = [](const PlatformSpec &, const WorkloadProfile &) {
-            std::vector<KnobValue> domain;
-            for (double ratio : {0.0, 0.10, 0.25, 0.40, 0.60}) {
-                KnobValue v;
-                v.number = ratio;
-                v.label = farRatioLabel(ratio);
-                domain.push_back(std::move(v));
-            }
-            return domain;
-        };
-        d.apply = [](const KnobValue &value, KnobConfig &config) {
-            config.farMemRatio = value.number;
-        };
-        d.capture = [](const KnobConfig &config) {
-            KnobValue v;
-            v.number = config.farMemRatio;
-            v.label = farRatioLabel(config.farMemRatio);
-            return v;
-        };
-        d.writeJson = [](const KnobConfig &config, Json &doc) {
-            if (config.farMemRatio != 0.0)
-                doc.set("far_mem_ratio", Json(config.farMemRatio));
-        };
-        d.readJson = [](const Json &doc, KnobConfig &config) {
-            config.farMemRatio =
-                doc.numberOr("far_mem_ratio", config.farMemRatio);
-        };
-        d.describeFragment = [](const KnobConfig &config) {
-            if (config.farMemRatio == 0.0)
-                return std::string();
-            return format("far=%.2f", config.farMemRatio);
-        };
-        reg.push_back(d);
-    }
-
-    return reg;
+        knob<double>(
+            {.id = KnobId::FarMemRatio, .key = "far_mem_ratio",
+             .displayName = "Far-memory placement ratio",
+             .affectsEvents = false, .availableOn = hasFarTier,
+             .unavailableReason = kNoFarTier},
+            {.member = &KnobConfig::farMemRatio,
+             .axis = [](Platform, Profile) {
+                 return std::vector<double>{0.0, 0.10, 0.25, 0.40, 0.60};
+             },
+             .label = [](double ratio) {
+                 return format("%.0f%% far", ratio * 100.0);
+             },
+             .fragment = [](double ratio) { return format("far=%.2f", ratio); },
+             .omitAtDefault = true}),
+    };
 }
 
 } // namespace

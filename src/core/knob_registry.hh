@@ -1,21 +1,30 @@
 /**
  * @file
- * The knob descriptor registry: one record per knob carrying everything
- * knob-specific — registry key, display name, reboot requirement,
- * platform availability, applicability rule, sweep-axis generator,
- * KnobValue actuation hooks, JSON codec, and describe() fragment.
+ * The knob descriptor registry: one record per knob, stating each fact
+ * once.  A record names the knob's registry key (which is also its JSON
+ * member), display name and flags (reboot, affectsEvents, platform
+ * availability, applicability), the KnobConfig member it reads and
+ * writes, its sweep axis as raw values, one label function, one
+ * describe() fragment, and whether it is omitted at the default-
+ * constructed KnobConfig's value.  Shared code in knob_registry.cc
+ * derives every hook below from that record — the domain's KnobValues,
+ * apply, capture, the JSON codec and the describe() fragment — and
+ * codes JSON once per value type (int, double, CdpSetting,
+ * PrefetcherPreset, ThpMode, TierPolicy), not once per knob.
  *
- * Before the registry these lived as per-knob switch statements
- * scattered across knobs.cc, design_space.cc, and the configurator;
- * adding a knob meant finding every switch.  Now design_space,
- * configurator, ab_cache context keys, and report_writer iterate
- * descriptors, and a new knob is one new record (the memory-tier knobs
- * are the proof: nothing outside their descriptors special-cases them).
+ * design_space, configurator, ab_cache context keys, report_writer,
+ * the simulator's event projection and the fleet's reboot rule iterate
+ * descriptors instead of naming knobs.  Outside the registry only the
+ * code that models a knob names its KnobConfig member: actuation
+ * (sim/machine.cc), the roll-up (sim/service_sim.cc) and the stock and
+ * production configs (core/knobs.cc).  The memory-tier knobs were
+ * added exactly that way.
  */
 
 #ifndef SOFTSKU_CORE_KNOB_REGISTRY_HH
 #define SOFTSKU_CORE_KNOB_REGISTRY_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,7 +37,9 @@ namespace softsku {
 struct KnobDescriptor
 {
     KnobId id = KnobId::CoreFrequency;
-    const char *key = "";             //!< registry key ("core_freq")
+    const char *key = "";             //!< registry key and JSON member
+    /** Member name in the flat v2 JSON layout; null when v2 had none. */
+    const char *legacyKey = nullptr;
     const char *displayName = "";     //!< human-readable name
     bool requiresReboot = false;
     /**
@@ -62,30 +73,37 @@ struct KnobDescriptor
                                       const WorkloadProfile &profile) =
         nullptr;
 
-    /** Axis generator: the candidate values the A/B sweep tests. */
-    std::vector<KnobValue> (*domain)(const PlatformSpec &platform,
-                                     const WorkloadProfile &profile) =
+    // ---- derived from the typed record (knob_registry.cc) ------------
+
+    /** The candidate values the A/B sweep tests, labeled. */
+    std::function<std::vector<KnobValue>(const PlatformSpec &platform,
+                                         const WorkloadProfile &profile)>
+        domain = nullptr;
+    /** Write a candidate value into a config. */
+    std::function<void(const KnobValue &value, KnobConfig &config)> apply =
         nullptr;
-
-    /** Actuation hook: write a candidate value into a config. */
-    void (*apply)(const KnobValue &value, KnobConfig &config) = nullptr;
     /** Read the config's current value back (label included). */
-    KnobValue (*capture)(const KnobConfig &config) = nullptr;
-
+    std::function<KnobValue(const KnobConfig &config)> capture = nullptr;
     /**
-     * JSON codec for the keyed "knobs" object (report schema v3).
-     * Writers may omit default values so legacy configs keep exactly
-     * their seven historical keys.
+     * Set this knob's member of the keyed "knobs" object (report schema
+     * v3), or nothing when the knob is omitted at its default — which
+     * keeps legacy configs at exactly their seven historical keys.
      */
-    void (*writeJson)(const KnobConfig &config, Json &knobsDoc) = nullptr;
-    void (*readJson)(const Json &knobsDoc, KnobConfig &config) = nullptr;
-
+    std::function<void(const KnobConfig &config, Json &knobsDoc)>
+        writeJson = nullptr;
     /**
-     * describe() fragment ("core=2.2GHz"); empty string omits the
-     * fragment, which is how memory-tier knobs at their defaults keep
-     * legacy memo/cache keys byte-identical.
+     * Decode this knob's member value @p node into @p config; false
+     * when @p node has the wrong type or an unknown name.
      */
-    std::string (*describeFragment)(const KnobConfig &config) = nullptr;
+    std::function<bool(const Json &node, KnobConfig &config)> readJson =
+        nullptr;
+    /**
+     * describe() fragment ("core=2.2GHz"); empty when the knob is
+     * omitted at its default, so memory-tier knobs at their defaults
+     * keep legacy memo/cache keys byte-identical.
+     */
+    std::function<std::string(const KnobConfig &config)> describeFragment =
+        nullptr;
 };
 
 /** All registered descriptors, in registry (paper) order. */

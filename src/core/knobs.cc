@@ -82,36 +82,22 @@ KnobConfig::toJson() const
     return doc;
 }
 
-KnobConfig
+std::optional<KnobConfig>
 KnobConfig::fromJson(const Json &doc)
 {
+    // Schema v3 keys a "knobs" object by registry key; the flat v2
+    // layout, kept readable for old reports, used the legacy keys.
+    const Json *keyed = doc.find("knobs");
+    const Json &knobs = keyed ? *keyed : doc;
+    if (!knobs.isObject())
+        return std::nullopt;
     KnobConfig cfg;
-    if (doc.contains("knobs")) {
-        // Schema v3: keyed knobs object, one codec per descriptor.
-        const Json &knobs = doc.at("knobs");
-        for (const KnobDescriptor &d : knobRegistry())
-            d.readJson(knobs, cfg);
-        return cfg;
+    for (const KnobDescriptor &d : knobRegistry()) {
+        const char *member = keyed ? d.key : d.legacyKey;
+        const Json *node = member ? knobs.find(member) : nullptr;
+        if (node && !d.readJson(*node, cfg))
+            return std::nullopt;
     }
-
-    // Flat v2 layout, kept readable for persisted caches and reports.
-    cfg.coreFreqGHz = doc.numberOr("core_freq_ghz", cfg.coreFreqGHz);
-    cfg.uncoreFreqGHz = doc.numberOr("uncore_freq_ghz", cfg.uncoreFreqGHz);
-    cfg.activeCores =
-        static_cast<int>(doc.numberOr("active_cores", cfg.activeCores));
-    if (doc.contains("cdp")) {
-        const Json &cdpDoc = doc.at("cdp");
-        cfg.cdp.enabled = cdpDoc.boolOr("enabled", false);
-        cfg.cdp.dataWays =
-            static_cast<int>(cdpDoc.numberOr("data_ways", 0));
-        cfg.cdp.codeWays =
-            static_cast<int>(cdpDoc.numberOr("code_ways", 0));
-    }
-    if (doc.contains("prefetcher"))
-        cfg.prefetch = prefetcherPresetFromKey(doc.at("prefetcher").asString());
-    if (doc.contains("thp"))
-        cfg.thp = thpModeFromString(doc.at("thp").asString());
-    cfg.shpCount = static_cast<int>(doc.numberOr("shp_count", 0));
     return cfg;
 }
 

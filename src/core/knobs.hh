@@ -25,6 +25,7 @@
 #define SOFTSKU_CORE_KNOBS_HH
 
 #include <compare>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,12 +127,13 @@ struct KnobConfig
     Json toJson() const;
 
     /**
-     * Deserialize; fatal() on malformed documents (user input).
-     * Reads both the v3 keyed-knobs layout and the flat v2 layout
-     * ("core_freq_ghz", ...) so persisted A/B caches and old reports
-     * stay loadable.
+     * Deserialize with the descriptor codecs; nullopt when a knob's
+     * member has the wrong type or an unknown name.  Absent members
+     * keep their defaults.  Reads both the v3 keyed-knobs layout and
+     * the flat v2 layout ("core_freq_ghz", ...) so persisted A/B caches
+     * and old reports stay loadable.
      */
-    static KnobConfig fromJson(const Json &doc);
+    static std::optional<KnobConfig> fromJson(const Json &doc);
 };
 
 /**

@@ -227,7 +227,7 @@ measureComparison(ProductionEnvironment &env, const RobustnessPolicy &robust,
         // Per-sample counters accrue in commit(), from the merged
         // result: a replayed comparison must account exactly like the
         // one that measured.
-        ABTester tester(slice, spec, robust, nullptr);
+        ABTester tester(slice, spec, robust);
         out = tester.compareAt(baseline, candidate, phaseOffsetSec(stream));
         merged.merge(out.faults);
         elapsed += out.elapsedSec;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/knob_registry.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "stats/running_stat.hh"
@@ -92,10 +93,10 @@ RolloutResult::toJson() const
 bool
 reconfigurationNeedsReboot(const KnobConfig &from, const KnobConfig &to)
 {
-    if (from.activeCores != to.activeCores)
-        return true;
-    if (from.shpCount != to.shpCount)
-        return true;
+    for (const KnobDescriptor &d : knobRegistry()) {
+        if (d.requiresReboot && d.capture(from) != d.capture(to))
+            return true;
+    }
     return false;
 }
 

@@ -305,8 +305,9 @@ class FleetSlice
 };
 
 /**
- * True when switching @p from → @p to requires a reboot (any changed
- * knob that is boot-time only: core count or SHP reservation).
+ * True when switching @p from → @p to requires a reboot: some knob
+ * whose descriptor sets requiresReboot (core count, SHP reservation)
+ * changes value.
  */
 bool reconfigurationNeedsReboot(const KnobConfig &from,
                                 const KnobConfig &to);

@@ -71,49 +71,49 @@ Json::at(std::string_view key) const
 {
     if (type_ != Type::Object)
         panic("Json::at(key) on non-object node");
-    for (const auto &[k, v] : obj_) {
-        if (k == key)
-            return v;
-    }
+    if (const Json *member = find(key))
+        return *member;
     panic("Json object has no member '%.*s'",
           static_cast<int>(key.size()), key.data());
+}
+
+const Json *
+Json::find(std::string_view key) const
+{
+    if (type_ != Type::Object)
+        return nullptr;
+    for (const auto &[k, v] : obj_) {
+        if (k == key)
+            return &v;
+    }
+    return nullptr;
 }
 
 double
 Json::numberOr(std::string_view key, double fallback) const
 {
-    if (!contains(key))
-        return fallback;
-    return at(key).asNumber();
+    const Json *member = find(key);
+    return member ? member->asNumber() : fallback;
 }
 
 bool
 Json::boolOr(std::string_view key, bool fallback) const
 {
-    if (!contains(key))
-        return fallback;
-    return at(key).asBool();
+    const Json *member = find(key);
+    return member ? member->asBool() : fallback;
 }
 
 std::string
 Json::stringOr(std::string_view key, const std::string &fallback) const
 {
-    if (!contains(key))
-        return fallback;
-    return at(key).asString();
+    const Json *member = find(key);
+    return member ? member->asString() : fallback;
 }
 
 bool
 Json::contains(std::string_view key) const
 {
-    if (type_ != Type::Object)
-        return false;
-    for (const auto &[k, v] : obj_) {
-        (void)v;
-        if (k == key)
-            return true;
-    }
-    return false;
+    return find(key) != nullptr;
 }
 
 size_t

@@ -64,6 +64,8 @@ class Json
     const Json &at(size_t index) const;
     /** Object member access; panics when the key is missing. */
     const Json &at(std::string_view key) const;
+    /** Object member lookup; nullptr when absent or not an object. */
+    const Json *find(std::string_view key) const;
     /** Object member access with a default for missing keys. */
     double numberOr(std::string_view key, double fallback) const;
     bool boolOr(std::string_view key, bool fallback) const;

@@ -22,6 +22,7 @@
 #include "core/ab_cache.hh"
 #include "stats/rng.hh"
 #include "stats/students_t.hh"
+#include "util/strings.hh"
 
 namespace softsku {
 namespace {
@@ -301,6 +302,182 @@ TEST(AbCachePersist, InMemoryResultsAreNeverOverwritten)
     EXPECT_EQ(loadAbCache(cache.dir.string(), context, loaded), 0u);
     EXPECT_EQ(bitsOf(loaded.at("base vs cand #c0").pairedDiffs.mean()),
               bitsOf(live.pairedDiffs.mean()));
+}
+
+/** One member (or array element) of a JSON document, by path. */
+using JsonPath = std::vector<std::string>;
+
+void
+collectPaths(const Json &node, JsonPath &prefix, std::vector<JsonPath> &out)
+{
+    out.push_back(prefix);
+    if (node.isObject()) {
+        for (const auto &[key, value] : node.members()) {
+            prefix.push_back(key);
+            collectPaths(value, prefix, out);
+            prefix.pop_back();
+        }
+    } else if (node.isArray()) {
+        for (size_t i = 0; i < node.size(); ++i) {
+            prefix.push_back(std::to_string(i));
+            collectPaths(node.at(i), prefix, out);
+            prefix.pop_back();
+        }
+    }
+}
+
+/**
+ * A copy of @p node with the node at @p path (non-empty) replaced by
+ * @p replacement, or deleted when @p replacement is null.
+ */
+Json
+mutated(const Json &node, const JsonPath &path, size_t depth,
+        const Json *replacement)
+{
+    auto child = [&](const std::string &name, const Json &value,
+                     auto &&add) {
+        if (name != path[depth])
+            add(Json(value));
+        else if (depth + 1 < path.size())
+            add(mutated(value, path, depth + 1, replacement));
+        else if (replacement)
+            add(Json(*replacement));
+    };
+    if (node.isArray()) {
+        Json out = Json::array();
+        for (size_t i = 0; i < node.size(); ++i)
+            child(std::to_string(i), node.at(i),
+                  [&](Json v) { out.push(std::move(v)); });
+        return out;
+    }
+    Json out = Json::object();
+    for (const auto &[key, value] : node.members())
+        child(key, value, [&](Json v) { out.set(key, std::move(v)); });
+    return out;
+}
+
+std::string
+pathName(const JsonPath &path)
+{
+    std::string name;
+    for (const std::string &part : path)
+        name += "/" + part;
+    return name;
+}
+
+/**
+ * Every member path of a stored comparison entry, of a validation
+ * chunk and of the top-level document is deleted, or given each wrong
+ * JSON type in turn.  The loader must never abort, and must keep every
+ * entry and chunk the mutation did not touch.
+ */
+TEST(AbCachePersist, DamagedMembersNeverAbortTheLoader)
+{
+    CacheDir cache("softsku-abcache-mutation");
+    const std::string context = "schema=3 test-context mutation";
+
+    std::unordered_map<std::string, ABTestResult> memo;
+    for (std::uint64_t seed : {11, 12, 13}) {
+        ABTestResult result = sampleResult(seed);
+        // Off-default memory-tier knobs, so every knob's member is
+        // stored and mutated.
+        result.configB.mbaPercent = 70;
+        result.configB.tierPolicy = TierPolicy::Balanced;
+        result.configB.farMemRatio = 0.25;
+        result.configB.cdp = {true, 6, 5};
+        memo.emplace(format("base vs cand #c%llu",
+                            static_cast<unsigned long long>(seed)),
+                     result);
+    }
+    ValidationCache validation;
+    for (int c = 0; c < 2; ++c) {
+        ValidationChunk chunk;
+        for (int i = 0; i < 3; ++i) {
+            chunk.diffs.add(0.01 * (i + c));
+            chunk.refStat.add(900.0 + i);
+            chunk.points.push_back({i * 30.0, 900.0 + i, 930.0 + i});
+            ++chunk.samples;
+        }
+        validation.emplace(format("validate #c%d", c), chunk);
+    }
+    ASSERT_TRUE(storeAbCache(cache.dir.string(), context, memo,
+                             &validation));
+    const std::string path = abCacheFilePath(cache.dir.string(), context);
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        bytes = buffer.str();
+    }
+    auto [original, ok] = Json::parse(bytes);
+    ASSERT_TRUE(ok);
+
+    const std::string entryKey = "base vs cand #c12";
+    const std::string chunkKey = "validate #c0";
+    std::vector<JsonPath> paths;
+    for (JsonPath root : {JsonPath{"entries", entryKey},
+                          JsonPath{"validation", chunkKey}}) {
+        const Json &node = original.at(root[0]).at(root[1]);
+        collectPaths(node, root, paths);
+    }
+    for (const auto &[key, value] : original.members())
+        paths.push_back({key});
+
+    const Json wrongTypes[] = {Json(), Json(true), Json(7), Json("zero"),
+                               Json::array(), Json::object()};
+    int loads = 0;
+    for (const JsonPath &mutatedPath : paths) {
+        const Json &target = [&]() -> const Json & {
+            const Json *node = &original;
+            for (const std::string &part : mutatedPath)
+                node = node->isArray()
+                           ? &node->at(static_cast<size_t>(
+                                 std::stoul(part)))
+                           : &node->at(part);
+            return *node;
+        }();
+        std::vector<const Json *> replacements{nullptr};
+        for (const Json &wrong : wrongTypes) {
+            if (wrong.type() != target.type())
+                replacements.push_back(&wrong);
+        }
+        for (const Json *replacement : replacements) {
+            SCOPED_TRACE(pathName(mutatedPath) +
+                         (replacement ? " := " + replacement->dump()
+                                      : " deleted"));
+            std::ofstream(path, std::ios::binary | std::ios::trunc)
+                << mutated(original, mutatedPath, 0, replacement).dump(1);
+
+            std::unordered_map<std::string, ABTestResult> loaded;
+            ValidationCache loadedChunks;
+            loadAbCache(cache.dir.string(), context, loaded,
+                        &loadedChunks);
+            ++loads;
+            const std::string &top = mutatedPath[0];
+            if (top == "schema_version" || top == "context" ||
+                (top == "entries" && mutatedPath.size() == 1))
+                continue;   // the whole file is refused: a cold run
+            for (const auto &[key, result] : memo) {
+                if (top == "entries" && key == entryKey)
+                    continue;
+                ASSERT_TRUE(loaded.count(key)) << key;
+                EXPECT_EQ(loaded.at(key).configB, result.configB) << key;
+                EXPECT_EQ(bitsOf(loaded.at(key).pairedDiffs.mean()),
+                          bitsOf(result.pairedDiffs.mean()))
+                    << key;
+            }
+            if (top == "validation" && mutatedPath.size() == 1)
+                continue;
+            for (const auto &[key, chunk] : validation) {
+                if (top == "validation" && key == chunkKey)
+                    continue;
+                ASSERT_TRUE(loadedChunks.count(key)) << key;
+                EXPECT_EQ(loadedChunks.at(key).points, chunk.points) << key;
+            }
+        }
+    }
+    EXPECT_GT(loads, 300);
 }
 
 TEST(AbCachePersist, MissingDirectoryIsACleanMiss)

@@ -85,7 +85,7 @@ TEST(ReportWriter, SchemaV2KnobDocsStayReadable)
         "shp_count": 300
     })");
     ASSERT_TRUE(ok);
-    KnobConfig parsed = KnobConfig::fromJson(v2);
+    KnobConfig parsed = KnobConfig::fromJson(v2).value();
     KnobConfig want;
     want.shpCount = 300;
     EXPECT_EQ(parsed, want);

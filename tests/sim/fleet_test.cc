@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/knob_registry.hh"
 #include "services/services.hh"
 #include "sim/fleet.hh"
 
@@ -28,6 +29,29 @@ TEST(Fleet, RebootRules)
     KnobConfig c = a;
     c.activeCores = 8;
     EXPECT_TRUE(reconfigurationNeedsReboot(a, c));    // isolcpus
+}
+
+TEST(Fleet, RebootFollowsTheRegistry)
+{
+    // Every registered knob, every value: a change needs a reboot
+    // exactly when the knob's descriptor says it is boot-time only.
+    const PlatformSpec &platform = skylake18cxl();
+    const KnobConfig from = productionConfig(platform, webProfile());
+    for (const KnobDescriptor &d : knobRegistry()) {
+        SCOPED_TRACE(d.key);
+        int changes = 0;
+        for (const KnobValue &value : d.domain(platform, webProfile())) {
+            KnobConfig to = from;
+            d.apply(value, to);
+            if (to == from)
+                continue;
+            ++changes;
+            EXPECT_EQ(reconfigurationNeedsReboot(from, to),
+                      d.requiresReboot)
+                << value.label;
+        }
+        EXPECT_GT(changes, 0);
+    }
 }
 
 TEST(Fleet, ReconfigureChargesDowntime)

@@ -142,7 +142,7 @@ TEST(Knobs, StockAndProductionConfigs)
 TEST(Knobs, JsonRoundTrip)
 {
     KnobConfig knobs = exampleKnobs();
-    KnobConfig parsed = KnobConfig::fromJson(knobs.toJson());
+    KnobConfig parsed = KnobConfig::fromJson(knobs.toJson()).value();
     EXPECT_EQ(parsed, knobs);
 }
 
