@@ -15,10 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/usku.hh"
 #include "services/services.hh"
@@ -78,9 +80,17 @@ compareAgainstGolden(const std::string &name, const std::string &actual)
         << "and review the diff";
 }
 
-/** The fixed run every golden derives from: small but end-to-end. */
+/**
+ * The fixed run every golden derives from: small but end-to-end.  The
+ * adaptive variants add core count to the knobs, because only a core
+ * count can trip the QoS guardrail, and run under the moderate fault
+ * plan, so their goldens pin the withdrawal and crash paths too.
+ */
 UskuReport
-goldenReport()
+goldenReport(SearchMode search = SearchMode::Fixed,
+             std::vector<KnobId> knobs = {KnobId::Thp, KnobId::Shp},
+             const FaultPlan &faults = FaultPlan{},
+             std::uint64_t faultSeed = 1)
 {
     SimOptions opts;
     opts.warmupInstructions = 150'000;
@@ -91,13 +101,39 @@ goldenReport()
     spec.microservice = "web";
     spec.platform = "skylake18";
     spec.sweep = SweepMode::Independent;
-    spec.knobs = {KnobId::Thp, KnobId::Shp};
+    spec.search = search;
+    spec.knobs = std::move(knobs);
     spec.seed = 1;
     spec.validationDurationSec = 6 * 3600.0;
     spec.normalize();
 
-    Usku tool(env);
+    UskuOptions options;
+    options.faults = faults;
+    options.faultSeed = faultSeed;
+    Usku tool(env, options);
     return tool.run(spec);
+}
+
+/**
+ * One adaptive golden run under the moderate fault plan.  Crashes are
+ * rare there (0.02 per measured hour, and a race measures about one
+ * hour); fault seed 61 is one under which both searches see one.
+ */
+UskuReport
+hostileReport(SearchMode search)
+{
+    return goldenReport(search,
+                        {KnobId::Thp, KnobId::Shp, KnobId::CoreCount},
+                        FaultPlan::fromSpec("moderate"), 61);
+}
+
+/** The run must exercise a guardrail withdrawal and a crash, or its
+ *  golden would not pin the paths it exists for. */
+void
+expectWithdrawalsAndCrashes(const UskuReport &report)
+{
+    EXPECT_GE(report.faults.guardrailAborts, 1u);
+    EXPECT_GE(report.faults.crashes, 1u);
 }
 
 TEST(UskuGolden, JsonReportMatchesGolden)
@@ -110,6 +146,23 @@ TEST(UskuGolden, SummaryMatchesGolden)
 {
     compareAgainstGolden("usku_web_skylake18_summary.txt",
                          goldenReport().summary());
+}
+
+TEST(UskuGolden, HostileRaceReportMatchesGolden)
+{
+    UskuReport report = hostileReport(SearchMode::Race);
+    expectWithdrawalsAndCrashes(report);
+    compareAgainstGolden("usku_web_skylake18_race_moderate_report.json",
+                         report.toJson().dump(2) + "\n");
+}
+
+TEST(UskuGolden, HostileHalvingReportMatchesGolden)
+{
+    UskuReport report = hostileReport(SearchMode::Halving);
+    expectWithdrawalsAndCrashes(report);
+    compareAgainstGolden(
+        "usku_web_skylake18_halving_moderate_report.json",
+        report.toJson().dump(2) + "\n");
 }
 
 TEST(UskuGolden, ReportCarriesCurrentSchemaVersion)

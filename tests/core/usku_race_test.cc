@@ -173,6 +173,12 @@ TEST(UskuRace, HalvingReportIdenticalAcrossThreadCounts)
     std::string serial = runSerialized(spec, 1);
     EXPECT_EQ(runSerialized(spec, 2), serial);
     EXPECT_EQ(runSerialized(spec, 8), serial);
+    // Under faults too: withdrawals and dead windows must not make the
+    // halving schedule depend on the thread count.
+    FaultPlan plan = FaultPlan::fromSpec("moderate");
+    std::string hostile = runSerialized(spec, 1, plan);
+    EXPECT_EQ(runSerialized(spec, 2, plan), hostile);
+    EXPECT_EQ(runSerialized(spec, 8, plan), hostile);
 }
 
 TEST(UskuRace, RaceRecordsPullAndEarlyStopCounters)
