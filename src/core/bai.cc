@@ -34,91 +34,143 @@ searchModeName(SearchMode mode)
 
 namespace {
 
-/**
- * The surviving arm with the highest mean gain, lowest index on ties.
- * Shared by both engines so their selection rule cannot drift apart.
- */
-std::size_t
-bestSurvivor(const std::vector<BaiArm> &arms)
+/** The chunk size of @p options; fatal() on zero, before any budget is
+ *  divided by it. */
+std::uint64_t
+chunkOf(const BaiOptions &options)
 {
-    std::size_t best = arms.size();
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-        if (arms[i].eliminated)
+    if (options.chunkSamples == 0)
+        fatal("best-arm search needs a positive chunk size");
+    return options.chunkSamples;
+}
+
+} // namespace
+
+BaiArmSet::BaiArmSet(std::size_t armCount, const BaiOptions &options,
+                     std::uint64_t budgetChunks)
+    : options_(options), arms_(armCount), budgetChunks_(budgetChunks)
+{
+    if (armCount == 0)
+        fatal("best-arm search needs at least one arm");
+}
+
+bool
+BaiArmSet::budgetLeft(std::size_t i) const
+{
+    return arms_[i].chunksPulled < budgetChunks_;
+}
+
+BaiPull
+BaiArmSet::pull(std::size_t i) const
+{
+    const BaiArm &arm = arms_.at(i);
+    return BaiPull{.ordinal = arm.chunksPulled,
+                   .targetSamples =
+                       (arm.chunksPulled + 1) * options_.chunkSamples,
+                   .stopAtVerdict = stopsAtVerdict(i)};
+}
+
+void
+BaiArmSet::update(std::size_t i, const RunningStat &cumulativeGains,
+                  bool verdict)
+{
+    BaiArm &arm = arms_.at(i);
+    arm.gains = cumulativeGains;
+    arm.chunksPulled += 1;
+    arm.verdict = verdict;
+}
+
+void
+BaiArmSet::withdraw(std::size_t i)
+{
+    BaiArm &arm = arms_.at(i);
+    arm.withdrawn = true;
+    if (!arm.parked)
+        arm.eliminated = true;
+}
+
+std::size_t
+BaiArmSet::best() const
+{
+    std::size_t best = arms_.size();
+    for (std::size_t i = 0; i < arms_.size(); ++i) {
+        if (arms_[i].eliminated)
             continue;
-        if (best == arms.size() ||
-            arms[i].gains.mean() > arms[best].gains.mean())
+        if (best == arms_.size() ||
+            arms_[i].gains.mean() > arms_[best].gains.mean())
             best = i;
     }
     return best;
 }
 
-} // namespace
-
-BaiRace::BaiRace(std::size_t armCount, const BaiOptions &options)
-    : options_(options), arms_(armCount), floor_(options.futilityGain)
+std::uint64_t
+BaiArmSet::earlyStops() const
 {
-    if (armCount == 0)
-        fatal("BaiRace needs at least one arm");
-    if (options_.chunkSamples == 0)
-        fatal("BaiRace needs a positive chunk size");
+    std::uint64_t stops = 0;
+    for (std::size_t i = 0; i < arms_.size(); ++i)
+        if (arms_[i].eliminated && budgetLeft(i))
+            stops += 1;
+    return stops;
 }
 
 std::uint64_t
-BaiRace::maxRounds() const
+BaiArmSet::samplesSaved(std::size_t i) const
 {
-    // An arm can be checked at most once per absorbed chunk, and no arm
-    // absorbs more than ceil(maxSamples / chunkSamples) chunks.
-    return (options_.maxSamplesPerArm + options_.chunkSamples - 1) /
-           options_.chunkSamples;
+    // What the arm actually paid (its live window, continuation pulls
+    // included) against the fixed per-test cap the paper budgets.
+    std::uint64_t paid = arms_.at(i).gains.count();
+    return options_.maxSamplesPerArm > paid
+               ? options_.maxSamplesPerArm - paid
+               : 0;
+}
+
+BaiRace::BaiRace(std::size_t armCount, const BaiOptions &options)
+    // An arm may pull while chunksPulled * chunk < maxSamplesPerArm.
+    : BaiArmSet(armCount, options,
+                options.maxSamplesPerArm / chunkOf(options) +
+                    (options.maxSamplesPerArm % chunkOf(options) != 0)),
+      floor_(options.futilityGain)
+{
 }
 
 std::vector<std::size_t>
 BaiRace::pending() const
 {
     std::vector<std::size_t> need;
-    if (decided())
-        return need;
     for (std::size_t i = 0; i < arms_.size(); ++i) {
-        const BaiArm &arm = arms_[i];
-        if (arm.eliminated)
-            continue;
-        if (arm.chunksPulled * options_.chunkSamples <
-            options_.maxSamplesPerArm)
+        if (!arms_[i].eliminated && !arms_[i].parked && budgetLeft(i))
             need.push_back(i);
     }
+    // While any arm is still racing, the incumbent keeps pulling even
+    // after parking: elimination compares against the incumbent's
+    // interval, and a parked incumbent's interval would stop shrinking
+    // — stalling every pending elimination at whatever width it
+    // happened to have.  Its outcome still reports the parked verdict;
+    // continuation samples only sharpen the elimination bound.
+    if (need.empty())
+        return need;
+    std::size_t incumbent = best();
+    if (incumbent < arms_.size() && arms_[incumbent].parked &&
+        !arms_[incumbent].withdrawn && budgetLeft(incumbent))
+        need.push_back(incumbent);
     return need;
 }
 
-void
-BaiRace::absorb(std::size_t i, const RunningStat &chunkGains)
+bool
+BaiRace::stopsAtVerdict(std::size_t i) const
 {
-    BaiArm &arm = arms_.at(i);
-    arm.gains.merge(chunkGains);
-    arm.chunksPulled += 1;
-}
-
-void
-BaiRace::update(std::size_t i, const RunningStat &cumulativeGains)
-{
-    BaiArm &arm = arms_.at(i);
-    arm.gains = cumulativeGains;
-    arm.chunksPulled += 1;
-}
-
-void
-BaiRace::withdraw(std::size_t i)
-{
-    BaiArm &arm = arms_.at(i);
-    if (arm.eliminated)
-        return;
-    arm.eliminated = true;
-    arm.eliminatedAtRound = rounds_ + 1;
+    return !arms_[i].parked;
 }
 
 void
 BaiRace::park(std::size_t i)
 {
-    arms_.at(i).parked = true;
+    BaiArm &arm = arms_.at(i);
+    if (arm.parked)
+        return;
+    arm.parked = true;
+    if (arm.gains.mean() > 0.0)
+        raiseFloor(arm.gains.mean());
 }
 
 void
@@ -149,8 +201,13 @@ BaiRace::radius(std::size_t i) const
 std::size_t
 BaiRace::eliminateRound()
 {
-    rounds_ += 1;
-    std::size_t incumbent = bestSurvivor(arms_);
+    // Parking comes first, so an arm that reached its verdict this
+    // round can no longer be struck.
+    for (std::size_t i = 0; i < arms_.size(); ++i) {
+        if (arms_[i].verdict && !arms_[i].eliminated)
+            park(i);
+    }
+    std::size_t incumbent = best();
     if (incumbent == arms_.size())
         return 0;
     const BaiArm &leader = arms_[incumbent];
@@ -166,64 +223,23 @@ BaiRace::eliminateRound()
             continue;
         double armHigh = arm.gains.mean() + radius(i);
         // The futility floor applies to the incumbent too: when no arm
-        // can reach a material gain the whole contest is moot.  It
-        // ratchets up as contenders park with settled positive verdicts
-        // (raiseFloor), which is what retires a trailing plateau arm in
-        // hundreds of samples instead of thousands.
+        // can reach a material gain the whole contest is moot.
         bool futile = armHigh < floor_;
         bool beaten = i != incumbent && armHigh < leaderLow;
         if (futile || beaten) {
             arms_[i].eliminated = true;
-            arms_[i].eliminatedAtRound = rounds_;
             struck += 1;
         }
     }
     return struck;
 }
 
-bool
-BaiRace::decided() const
-{
-    std::size_t alive = 0;
-    bool budgetLeft = false;
-    for (const BaiArm &arm : arms_) {
-        if (arm.eliminated)
-            continue;
-        alive += 1;
-        if (arm.chunksPulled * options_.chunkSamples <
-            options_.maxSamplesPerArm)
-            budgetLeft = true;
-    }
-    // One contender standing, or every survivor gave up at the budget
-    // cap (the fixed protocol's 30 k give-up rule, reached jointly).
-    return alive <= 1 || !budgetLeft;
-}
-
-std::size_t
-BaiRace::best() const
-{
-    return bestSurvivor(arms_);
-}
-
-std::uint64_t
-BaiRace::earlyStops() const
-{
-    std::uint64_t stops = 0;
-    for (const BaiArm &arm : arms_)
-        if (arm.eliminated &&
-            arm.chunksPulled * options_.chunkSamples <
-                options_.maxSamplesPerArm)
-            stops += 1;
-    return stops;
-}
-
 BaiHalving::BaiHalving(std::size_t armCount, const BaiOptions &options)
-    : options_(options), arms_(armCount)
+    : BaiArmSet(armCount, options,
+                std::max<std::uint64_t>(
+                    1, options.maxSamplesPerArm / chunkOf(options))),
+      roundTarget_(chunksThisRound()), finalist_(armCount <= 1)
 {
-    if (armCount == 0)
-        fatal("BaiHalving needs at least one arm");
-    if (options_.chunkSamples == 0)
-        fatal("BaiHalving needs a positive chunk size");
 }
 
 std::uint64_t
@@ -232,47 +248,38 @@ BaiHalving::chunksThisRound() const
     // 1, 2, 4, ... chunks per survivor, clamped to the per-arm budget.
     std::uint64_t allowance = std::uint64_t(1) << std::min<std::uint64_t>(
         rounds_, 62);
-    std::uint64_t budgetChunks = std::max<std::uint64_t>(
-        1, options_.maxSamplesPerArm / options_.chunkSamples);
-    return std::min(allowance, budgetChunks);
+    return std::min(allowance, budgetChunks_);
 }
 
 std::vector<std::size_t>
 BaiHalving::pending() const
 {
     std::vector<std::size_t> need;
-    if (decided())
+    if (!finalist_) {
+        // Triage: every survivor still owed part of this round's
+        // allowance.
+        for (std::size_t i = 0; i < arms_.size(); ++i) {
+            if (!arms_[i].eliminated &&
+                arms_[i].chunksPulled < roundTarget_)
+                need.push_back(i);
+        }
         return need;
-    for (std::size_t i = 0; i < arms_.size(); ++i)
-        if (!arms_[i].eliminated)
-            need.push_back(i);
+    }
+    // The finalist, until a chunk holds a verdict or its budget is
+    // spent.
+    std::size_t winner = best();
+    if (winner < arms_.size() && !arms_[winner].verdict &&
+        budgetLeft(winner))
+        need.push_back(winner);
     return need;
 }
 
-void
-BaiHalving::absorb(std::size_t i, const RunningStat &chunkGains)
+bool
+BaiHalving::stopsAtVerdict(std::size_t) const
 {
-    BaiArm &arm = arms_.at(i);
-    arm.gains.merge(chunkGains);
-    arm.chunksPulled += 1;
-}
-
-void
-BaiHalving::update(std::size_t i, const RunningStat &cumulativeGains)
-{
-    BaiArm &arm = arms_.at(i);
-    arm.gains = cumulativeGains;
-    arm.chunksPulled += 1;
-}
-
-void
-BaiHalving::withdraw(std::size_t i)
-{
-    BaiArm &arm = arms_.at(i);
-    if (arm.eliminated)
-        return;
-    arm.eliminated = true;
-    arm.eliminatedAtRound = rounds_ + 1;
+    // Triage pulls never stop at a verdict: the halving rule, not the
+    // fixed protocol, decides who survives.
+    return finalist_;
 }
 
 std::size_t
@@ -283,8 +290,6 @@ BaiHalving::halveRound()
     for (std::size_t i = 0; i < arms_.size(); ++i)
         if (!arms_[i].eliminated)
             alive.push_back(i);
-    if (alive.size() <= 1)
-        return 0;
     // Sort survivors by mean gain, best first; equal means keep their
     // index order (stable), so ties always favor the earlier arm.
     std::stable_sort(alive.begin(), alive.end(),
@@ -293,29 +298,20 @@ BaiHalving::halveRound()
                                 arms_[b].gains.mean();
                      });
     std::size_t keep = (alive.size() + 1) / 2;
-    std::size_t dropped = 0;
-    for (std::size_t rank = keep; rank < alive.size(); ++rank) {
+    for (std::size_t rank = keep; rank < alive.size(); ++rank)
         arms_[alive[rank]].eliminated = true;
-        arms_[alive[rank]].eliminatedAtRound = rounds_;
-        dropped += 1;
-    }
-    return dropped;
-}
-
-bool
-BaiHalving::decided() const
-{
-    std::size_t alive = 0;
-    for (const BaiArm &arm : arms_)
-        if (!arm.eliminated)
-            alive += 1;
-    return alive <= 1;
+    roundTarget_ = std::min(roundTarget_ + chunksThisRound(), budgetChunks_);
+    finalist_ = keep <= 1;
+    return alive.size() - keep;
 }
 
 std::size_t
-BaiHalving::best() const
+BaiHalving::eliminateRound()
 {
-    return bestSurvivor(arms_);
+    std::size_t dropped = 0;
+    while (!finalist_ && pending().empty())
+        dropped += halveRound();
+    return dropped;
 }
 
 } // namespace softsku

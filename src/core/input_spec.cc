@@ -1,5 +1,7 @@
 #include "core/input_spec.hh"
 
+#include <cmath>
+
 #include "core/knob_registry.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -117,40 +119,93 @@ InputSpec::toJson() const
     return doc;
 }
 
+namespace {
+
+/**
+ * Member @p key of the input document, or nullptr when absent.  A
+ * member of the wrong JSON type is a malformed input, never a crash:
+ * it fails the run with the offending key named.
+ */
+const Json *
+typedMember(const Json &doc, const char *key, Json::Type type,
+            const char *typeName)
+{
+    const Json *member = doc.find(key);
+    if (member && member->type() != type)
+        fatal("μSKU input: '%s' must be %s", key, typeName);
+    return member;
+}
+
+std::string
+stringOr(const Json &doc, const char *key, const std::string &fallback)
+{
+    const Json *member =
+        typedMember(doc, key, Json::Type::String, "a string");
+    return member ? member->asString() : fallback;
+}
+
+double
+numberOr(const Json &doc, const char *key, double fallback)
+{
+    const Json *member =
+        typedMember(doc, key, Json::Type::Number, "a number");
+    return member ? member->asNumber() : fallback;
+}
+
+/** A count: an integer in [0, 2^53], the range a JSON number holds
+ *  exactly. */
+std::uint64_t
+countOr(const Json &doc, const char *key, std::uint64_t fallback)
+{
+    const Json *member =
+        typedMember(doc, key, Json::Type::Number, "a number");
+    if (!member)
+        return fallback;
+    double value = member->asNumber();
+    if (!(value >= 0.0 && value <= 9007199254740992.0) ||
+        value != std::floor(value))
+        fatal("μSKU input: '%s' must be an integer in [0, 2^53]", key);
+    return static_cast<std::uint64_t>(value);
+}
+
+} // namespace
+
 InputSpec
 InputSpec::fromJson(const Json &doc)
 {
+    if (!doc.isObject())
+        fatal("μSKU input: the document must be a JSON object");
     InputSpec spec;
-    spec.microservice = doc.stringOr("microservice", "");
-    spec.platform = doc.stringOr("platform", "");
-    if (doc.contains("sweep")) {
-        const Json &sweepDoc = doc.at("sweep");
+    spec.microservice = stringOr(doc, "microservice", "");
+    spec.platform = stringOr(doc, "platform", "");
+    if (const Json *sweepDoc = typedMember(doc, "sweep", Json::Type::Object,
+                                           "an object")) {
         spec.sweep =
-            sweepModeFromString(sweepDoc.stringOr("mode", "independent"));
-        if (sweepDoc.contains("knobs")) {
-            for (const Json &knob : sweepDoc.at("knobs").elements())
+            sweepModeFromString(stringOr(*sweepDoc, "mode", "independent"));
+        if (const Json *knobs = typedMember(*sweepDoc, "knobs",
+                                            Json::Type::Array,
+                                            "an array")) {
+            for (const Json &knob : knobs->elements()) {
+                if (!knob.isString())
+                    fatal("μSKU input: 'knobs' must hold knob names");
                 spec.knobs.push_back(knobFromKey(knob.asString()));
+            }
         }
     }
-    spec.confidence = doc.numberOr("confidence", spec.confidence);
-    spec.maxSamplesPerTest = static_cast<std::uint64_t>(
-        doc.numberOr("max_samples",
-                     static_cast<double>(spec.maxSamplesPerTest)));
-    spec.minSamplesPerTest = static_cast<std::uint64_t>(
-        doc.numberOr("min_samples",
-                     static_cast<double>(spec.minSamplesPerTest)));
-    spec.warmupSamples = static_cast<std::uint64_t>(doc.numberOr(
-        "warmup_samples", static_cast<double>(spec.warmupSamples)));
+    spec.confidence = numberOr(doc, "confidence", spec.confidence);
+    spec.maxSamplesPerTest =
+        countOr(doc, "max_samples", spec.maxSamplesPerTest);
+    spec.minSamplesPerTest =
+        countOr(doc, "min_samples", spec.minSamplesPerTest);
+    spec.warmupSamples = countOr(doc, "warmup_samples", spec.warmupSamples);
     spec.sampleSpacingSec =
-        doc.numberOr("sample_spacing_sec", spec.sampleSpacingSec);
-    spec.validationDurationSec = doc.numberOr("validation_duration_sec",
-                                              spec.validationDurationSec);
-    spec.seed = static_cast<std::uint64_t>(
-        doc.numberOr("seed", static_cast<double>(spec.seed)));
-    spec.search = searchModeFromString(doc.stringOr("search", "fixed"));
-    spec.raceChunkSamples = static_cast<std::uint64_t>(
-        doc.numberOr("race_chunk_samples",
-                     static_cast<double>(spec.raceChunkSamples)));
+        numberOr(doc, "sample_spacing_sec", spec.sampleSpacingSec);
+    spec.validationDurationSec = numberOr(doc, "validation_duration_sec",
+                                          spec.validationDurationSec);
+    spec.seed = countOr(doc, "seed", spec.seed);
+    spec.search = searchModeFromString(stringOr(doc, "search", "fixed"));
+    spec.raceChunkSamples =
+        countOr(doc, "race_chunk_samples", spec.raceChunkSamples);
     spec.normalize();
     spec.validate();
     return spec;

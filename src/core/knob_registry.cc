@@ -93,12 +93,6 @@ struct NamedCodec
     }
 };
 
-std::vector<ThpMode>
-thpModes()
-{
-    return {ThpMode::Madvise, ThpMode::Always, ThpMode::Never};
-}
-
 template <>
 struct ValueCodec<PrefetcherPreset>
     : NamedCodec<PrefetcherPreset, prefetcherPresetKey, allPrefetcherPresets>
@@ -107,7 +101,7 @@ struct ValueCodec<PrefetcherPreset>
 };
 
 template <>
-struct ValueCodec<ThpMode> : NamedCodec<ThpMode, thpModeName, thpModes>
+struct ValueCodec<ThpMode> : NamedCodec<ThpMode, thpModeName, allThpModes>
 {
     static constexpr auto slot = &KnobValue::thp;
 };
@@ -295,7 +289,7 @@ buildRegistry()
             {.id = KnobId::Thp, .key = "thp", .legacyKey = "thp",
              .displayName = "Transparent huge pages"},
             {.member = &KnobConfig::thp,
-             .axis = [](Platform, Profile) { return thpModes(); },
+             .axis = [](Platform, Profile) { return allThpModes(); },
              .label = [](ThpMode mode) { return "THP " + thpModeName(mode); },
              .fragment =
                  [](ThpMode mode) { return "thp=" + thpModeName(mode); }}),

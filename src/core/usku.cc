@@ -380,57 +380,61 @@ collapseToBest(DesignSpaceMap &map, const TestPlan &plan,
     }
 }
 
+} // namespace
+
 /**
- * One knob's race (racing search): its sweep layout, its candidate
- * arms and the race over them.  The knob's baseline value sits outside
- * the race: it is the implicit zero-gain reference every arm is
- * measured against.
+ * One best-arm contest of the adaptive searches: an engine over
+ * candidate configurations, each measured against the sweep's
+ * baseline, and what each arm's measurement window returned.  Each
+ * knob's race is one contest; halving runs one over the joint
+ * combinations.
  */
-struct RaceGroup
+struct Contest
 {
     struct Arm
     {
         /** Latest cumulative window state (every pull returns the
          *  whole window so far). */
         ABTestResult last;
-        /** Snapshot at the moment the fixed protocol would have
-         *  stopped — bit-identical to a fixed-mode measurement of this
+        /** Snapshot at the chunk that parked a racing arm —
+         *  bit-identical to a fixed-mode measurement of this
          *  comparison, because the window runs on the same stream with
          *  the same batch cadence. */
         ABTestResult fixed;
         double elapsedSec = 0.0;
-        bool aborted = false;       //!< guardrail/crash withdrawal
-        bool dead = false;          //!< window died after parking
     };
 
-    KnobId id = KnobId::CoreFrequency;
-    std::vector<ArmSlot> layout;
     std::vector<KnobConfig> candidates;
     std::vector<Arm> arms;
-    std::unique_ptr<BaiRace> race;
-    bool done = false;
+    /** Null when no value of the contest differs from the baseline. */
+    std::unique_ptr<BaiArmSet> engine;
 };
+
+namespace {
 
 /** Racing's outcome rows, in plan order, into @p map (the serial loop
  *  keeps the per-knob histogram's fp accumulation deterministic);
  *  returns the early stops. */
 std::uint64_t
-raceOutcomes(const std::vector<RaceGroup> &groups, const InputSpec &spec,
-             MetricsRegistry &metrics, DesignSpaceMap &map)
+raceOutcomes(const TestPlan &plan,
+             const std::vector<std::vector<ArmSlot>> &layouts,
+             const std::vector<Contest> &contests, MetricsRegistry &metrics,
+             DesignSpaceMap &map)
 {
     std::uint64_t earlyStops = 0;
     std::uint64_t samplesSaved = 0;
-    for (const RaceGroup &group : groups) {
+    for (size_t k = 0; k < contests.size(); ++k) {
+        const Contest &contest = contests[k];
         KnobSweep sweep;
-        sweep.id = group.id;
-        for (const ArmSlot &slot : group.layout) {
+        sweep.id = plan.knobs[k].id;
+        for (const ArmSlot &slot : layouts[k]) {
             if (slot.isBaseline) {
-                sweep.outcomes.push_back(baselineOutcome(map, group.id));
+                sweep.outcomes.push_back(baselineOutcome(map, sweep.id));
                 continue;
             }
-            const RaceGroup::Arm &arm = group.arms[slot.arm];
-            const BaiArm &raced = group.race->arm(slot.arm);
-            recordKnobSimSec(metrics, group.id, arm.elapsedSec);
+            const Contest::Arm &arm = contest.arms[slot.arm];
+            const BaiArm &raced = contest.engine->arm(slot.arm);
+            recordKnobSimSec(metrics, sweep.id, arm.elapsedSec);
             // A parked arm reports its fixed-protocol snapshot — the
             // bytes a fixed-mode run would have produced for this
             // comparison.  Everything else (eliminated, capped,
@@ -438,25 +442,20 @@ raceOutcomes(const std::vector<RaceGroup> &groups, const InputSpec &spec,
             // skips eliminated arms regardless.
             KnobOutcome outcome =
                 makeOutcome(*slot.value, raced.parked ? arm.fixed : arm.last);
-            outcome.significant = !arm.aborted && outcome.significant;
+            outcome.significant = outcome.significant &&
+                                  (raced.parked || !raced.withdrawn);
             outcome.eliminated = raced.eliminated;
-            // Savings count what the race actually paid (the live
-            // window, continuation pulls included) against the fixed
-            // per-test cap the paper's protocol budgets.
-            std::uint64_t paid = raced.gains.count();
-            outcome.samplesSaved = spec.maxSamplesPerTest > paid
-                                       ? spec.maxSamplesPerTest - paid
-                                       : 0;
+            outcome.samplesSaved = contest.engine->samplesSaved(slot.arm);
             samplesSaved += outcome.samplesSaved;
             debug("μSKU race: %s = %s → %+0.2f%% (n=%llu%s)",
-                  knobKey(group.id).c_str(), slot.value->label.c_str(),
+                  knobKey(sweep.id).c_str(), slot.value->label.c_str(),
                   outcome.gainPercent,
                   static_cast<unsigned long long>(outcome.samples),
                   outcome.eliminated ? ", eliminated" : "");
             sweep.outcomes.push_back(outcome);
         }
-        if (group.race)
-            earlyStops += group.race->earlyStops();
+        if (contest.engine)
+            earlyStops += contest.engine->earlyStops();
         map.sweeps.push_back(std::move(sweep));
     }
     metrics.counter("sweep.early_stops").add(earlyStops);
@@ -789,8 +788,8 @@ Usku::measurePull(const Comparison &task, const std::string &windowKey,
         }
         window = it->second.get();
     }
-    ABTestResult out =
-        window->session.pullTo(pull.target, pull.stopAtVerdict);
+    ABTestResult out = window->session.pullTo(pull.chunk.targetSamples,
+                                              pull.chunk.stopAtVerdict);
     if (out.crashed || out.applyFailed)
         out.faults.abandoned = 1;
     return out;
@@ -854,7 +853,7 @@ Usku::evaluateKeyed(const std::vector<Comparison> &batch,
         keys[i] = windowKeys[i] = comparisonKey(batch[i]);
         if (pulls)
             keys[i] += format(" #c%llu", static_cast<unsigned long long>(
-                                             (*pulls)[i].ordinal));
+                                             (*pulls)[i].chunk.ordinal));
     }
     std::vector<ABTestResult> results(batch.size());
     std::vector<std::pair<size_t, size_t>> aliases;  // (dup, source)
@@ -1090,14 +1089,72 @@ baiOptionsFor(const InputSpec &spec)
     return options;
 }
 
-/** A chunk result the racing engine cannot use as a verdict. */
-bool
-chunkAborted(const ABTestResult &result)
-{
-    return result.qosAborted || result.crashed || result.applyFailed;
-}
-
 } // namespace
+
+void
+Usku::runContests(std::vector<Contest> &contests, const KnobConfig &baseline,
+                  const InputSpec &spec)
+{
+    // Lockstep driver: every round collects one pull per pending arm
+    // across *all* contests into a single batch, so the pool stays
+    // saturated even when most contests have already decided.
+    // Decisions consume chunk statistics only — never scheduling order
+    // — so every contest replays identically at any thread count and
+    // on a cache-served rerun.
+    //
+    // A racing arm *parks* at the first chunk that reaches the fixed
+    // protocol's stop (significant at the spec confidence past the
+    // minimum sample floor): the window runs on the comparison's own
+    // stream with the fixed protocol's batch cadence, so the parked
+    // snapshot is bit-identical to what a fixed-mode run would have
+    // reported — winner agreement with fixed mode is structural, not
+    // statistical.
+    while (true) {
+        std::vector<ChunkPull> batch;
+        std::vector<std::pair<Contest *, std::size_t>> refs;
+        std::vector<BaiArmSet *> pulled;
+        for (Contest &contest : contests) {
+            BaiArmSet *engine = contest.engine.get();
+            if (!engine || engine->decided())
+                continue;
+            pulled.push_back(engine);
+            for (std::size_t i : engine->pending()) {
+                batch.push_back(ChunkPull{
+                    Comparison{baseline, contest.candidates[i]},
+                    engine->pull(i)});
+                refs.emplace_back(&contest, i);
+            }
+        }
+        if (batch.empty())
+            break;
+
+        std::vector<ABTestResult> results = evaluateChunks(batch, spec);
+
+        // Feed serially in batch order — the same order every thread
+        // count produces — then let each engine that pulled apply its
+        // rule.  A dead window (guardrail abort, crash, failed push)
+        // withdraws its arm: no retry, the window is the arm's verdict.
+        for (size_t t = 0; t < results.size(); ++t) {
+            auto [contest, i] = refs[t];
+            BaiArmSet &engine = *contest->engine;
+            Contest::Arm &arm = contest->arms[i];
+            const ABTestResult &result = results[t];
+            arm.elapsedSec += result.elapsedSec;
+            if (result.qosAborted || result.crashed || result.applyFailed) {
+                engine.withdraw(i);
+                continue;
+            }
+            bool verdict = result.significant &&
+                           result.samplesUsed >= spec.minSamplesPerTest;
+            if (verdict && !engine.arm(i).parked)
+                arm.fixed = result;
+            engine.update(i, result.pairedDiffs, verdict);
+            arm.last = result;
+        }
+        for (BaiArmSet *engine : pulled)
+            engine->eliminateRound();
+    }
+}
 
 DesignSpaceMap
 Usku::sweepRace(const TestPlan &plan, const KnobConfig &baseline,
@@ -1111,137 +1168,27 @@ Usku::sweepRace(const TestPlan &plan, const KnobConfig &baseline,
     map.baseline = baseline;
     map.baselineMips = env_.trueMips(baseline);
 
+    // One race per knob over its candidate values; the knob's baseline
+    // value sits outside the race as the implicit zero-gain reference
+    // every arm is measured against.
     const BaiOptions baiOptions = baiOptionsFor(spec);
-    std::vector<RaceGroup> groups(plan.knobs.size());
+    std::vector<Contest> contests(plan.knobs.size());
+    std::vector<std::vector<ArmSlot>> layouts;
     for (size_t k = 0; k < plan.knobs.size(); ++k) {
-        RaceGroup &group = groups[k];
-        group.id = plan.knobs[k].id;
-        group.layout = armLayout(plan.knobs[k], baseline, env_.platform(),
-                                 group.candidates);
-        group.arms.resize(group.candidates.size());
-        comparisons_ += group.arms.size();
-        if (!group.arms.empty()) {
-            group.race = std::make_unique<BaiRace>(group.arms.size(),
-                                                   baiOptions);
-        } else {
-            group.done = true;
+        Contest &contest = contests[k];
+        layouts.push_back(armLayout(plan.knobs[k], baseline,
+                                    env_.platform(), contest.candidates));
+        contest.arms.resize(contest.candidates.size());
+        comparisons_ += contest.arms.size();
+        if (!contest.arms.empty()) {
+            contest.engine =
+                std::make_unique<BaiRace>(contest.arms.size(), baiOptions);
         }
     }
+    runContests(contests, baseline, spec);
 
-    auto budgetLeft = [&](const BaiArm &raced) {
-        return raced.chunksPulled * baiOptions.chunkSamples <
-               baiOptions.maxSamplesPerArm;
-    };
-
-    // Lockstep driver: every round collects one pull per contending
-    // arm across *all* knobs into a single batch, so the pool stays
-    // saturated even when most races have already decided.  Decisions
-    // consume chunk statistics only — never scheduling order — so the
-    // whole race replays identically at any thread count and on a
-    // cache-served rerun.
-    //
-    // An arm *parks* the moment its continued window reaches the fixed
-    // protocol's stop (significant at the spec confidence past the
-    // minimum sample floor): the window runs on the comparison's own
-    // stream with the fixed protocol's batch cadence, so the parked
-    // snapshot is bit-identical to what a fixed-mode run would have
-    // reported — winner agreement with fixed mode is structural, not
-    // statistical.  Parked arms are exempt from elimination (the
-    // composer ranks them); a settled positive verdict also ratchets
-    // the futility floor, which is what retires trailing same-plateau
-    // arms after hundreds of samples instead of tens of thousands.
-    while (true) {
-        std::vector<ChunkPull> batch;
-        struct Ref
-        {
-            size_t group;
-            size_t arm;
-        };
-        std::vector<Ref> refs;
-        for (size_t g = 0; g < groups.size(); ++g) {
-            RaceGroup &group = groups[g];
-            if (group.done)
-                continue;
-            std::vector<std::size_t> want;
-            for (size_t i = 0; i < group.arms.size(); ++i) {
-                if (!group.race->arm(i).eliminated &&
-                    !group.race->arm(i).parked &&
-                    budgetLeft(group.race->arm(i)))
-                    want.push_back(i);
-            }
-            // While any arm is still racing, the incumbent keeps
-            // pulling even after parking: elimination compares against
-            // the incumbent's interval, and a parked incumbent's
-            // interval would stop shrinking — stalling every pending
-            // elimination at whatever width it happened to have.  The
-            // outcome still reports the parked snapshot; continuation
-            // samples only sharpen the elimination bound.
-            if (!want.empty()) {
-                std::size_t incumbent = group.race->best();
-                if (incumbent < group.arms.size() &&
-                    group.race->arm(incumbent).parked &&
-                    !group.arms[incumbent].dead &&
-                    budgetLeft(group.race->arm(incumbent)))
-                    want.push_back(incumbent);
-            }
-            if (want.empty()) {
-                group.done = true;
-                continue;
-            }
-            for (std::size_t i : want) {
-                const BaiArm &raced = group.race->arm(i);
-                batch.push_back(ChunkPull{
-                    .task = Comparison{baseline, group.candidates[i]},
-                    .ordinal = raced.chunksPulled,
-                    .target =
-                        (raced.chunksPulled + 1) * baiOptions.chunkSamples,
-                    .stopAtVerdict = !raced.parked});
-                refs.push_back(Ref{g, i});
-            }
-        }
-        if (batch.empty())
-            break;
-
-        std::vector<ABTestResult> results = evaluateChunks(batch, spec);
-
-        // Absorb serially in batch order — the same order every thread
-        // count produces — then run the elimination checks.  Parking
-        // happens here, *before* elimination, so an arm that reached
-        // its fixed verdict this round can no longer be struck.
-        for (size_t t = 0; t < results.size(); ++t) {
-            RaceGroup &group = groups[refs[t].group];
-            RaceGroup::Arm &arm = group.arms[refs[t].arm];
-            const ABTestResult &result = results[t];
-            arm.elapsedSec += result.elapsedSec;
-            if (chunkAborted(result)) {
-                if (group.race->arm(refs[t].arm).parked) {
-                    // The verdict is already settled; the dead window
-                    // only stops sharpening the elimination bound.
-                    arm.dead = true;
-                } else {
-                    group.race->withdraw(refs[t].arm);
-                    arm.aborted = true;
-                }
-                continue;
-            }
-            group.race->update(refs[t].arm, result.pairedDiffs);
-            arm.last = result;
-            if (!group.race->arm(refs[t].arm).parked &&
-                result.significant &&
-                result.samplesUsed >= spec.minSamplesPerTest) {
-                arm.fixed = result;
-                group.race->park(refs[t].arm);
-                if (result.pairedDiffs.mean() > 0.0)
-                    group.race->raiseFloor(result.pairedDiffs.mean());
-            }
-        }
-        for (RaceGroup &group : groups) {
-            if (!group.done)
-                group.race->eliminateRound();
-        }
-    }
-
-    span.arg("early_stops", raceOutcomes(groups, spec, metrics_, map));
+    span.arg("early_stops",
+             raceOutcomes(plan, layouts, contests, metrics_, map));
     return map;
 }
 
@@ -1255,113 +1202,45 @@ Usku::sweepHalving(const TestPlan &plan, const KnobConfig &baseline,
 
     // The joint candidate set is the same bounded cross product the
     // exhaustive sweep walks; halving just pays for it adaptively.
-    const std::vector<KnobConfig> candidates =
-        crossProduct(plan, baseline, "halving search");
-    comparisons_ += candidates.size();
+    std::vector<Contest> contests(1);
+    Contest &contest = contests.front();
+    contest.candidates = crossProduct(plan, baseline, "halving search");
+    contest.arms.resize(contest.candidates.size());
+    comparisons_ += contest.candidates.size();
 
     DesignSpaceMap map;
     map.baseline = baseline;
     map.baselineMips = env_.trueMips(baseline);
 
-    const BaiOptions baiOptions = baiOptionsFor(spec);
     KnobConfig bestConfig = baseline;
     double bestMean = map.baselineMips;
     std::uint64_t earlyStops = 0;
     std::uint64_t samplesSaved = 0;
+    if (!contest.candidates.empty()) {
+        contest.engine = std::make_unique<BaiHalving>(
+            contest.candidates.size(), baiOptionsFor(spec));
+        runContests(contests, baseline, spec);
 
-    if (!candidates.empty()) {
-        BaiHalving halving(candidates.size(), baiOptions);
-        std::vector<ABTestResult> last(candidates.size());
-        std::vector<bool> aborted(candidates.size(), false);
-        const std::uint64_t budgetChunks = std::max<std::uint64_t>(
-            1, baiOptions.maxSamplesPerArm / baiOptions.chunkSamples);
-
-        // Each batch advances every survivor's continued window by one
-        // chunk (a window accepts one pull at a time); a round's
-        // allowance is spent as that many consecutive batches.  Triage
-        // pulls never stop at a verdict — the halving rule, not the
-        // fixed protocol, decides who survives.
-        auto pullSurvivors = [&](const std::vector<std::size_t> &alive,
-                                 bool stopAtVerdict) {
-            std::vector<ChunkPull> batch;
-            std::vector<std::size_t> refs;
-            for (std::size_t i : alive) {
-                if (aborted[i])
-                    continue;
-                const BaiArm &raced = halving.arm(i);
-                if (raced.chunksPulled >= budgetChunks)
-                    continue;
-                batch.push_back(ChunkPull{
-                    .task = Comparison{baseline, candidates[i]},
-                    .ordinal = raced.chunksPulled,
-                    .target =
-                        (raced.chunksPulled + 1) * baiOptions.chunkSamples,
-                    .stopAtVerdict = stopAtVerdict});
-                refs.push_back(i);
-            }
-            std::vector<ABTestResult> results =
-                evaluateChunks(batch, spec);
-            for (size_t t = 0; t < results.size(); ++t) {
-                std::size_t i = refs[t];
-                if (chunkAborted(results[t])) {
-                    halving.withdraw(i);
-                    aborted[i] = true;
-                    continue;
-                }
-                halving.update(i, results[t].pairedDiffs);
-                last[i] = results[t];
-            }
-        };
-
-        while (!halving.decided()) {
-            std::vector<std::size_t> alive = halving.pending();
-            std::uint64_t allowance = halving.chunksThisRound();
-            for (std::uint64_t c = 0; c < allowance; ++c)
-                pullSurvivors(alive, /*stopAtVerdict=*/false);
-            halving.halveRound();
-        }
-
-        // Resolve the finalist with the fixed protocol's stopping rule
-        // (significance past the floor, or the give-up cap) so the
-        // composition verdict means the same thing in every mode.
+        const BaiArmSet &halving = *contest.engine;
         std::size_t winner = halving.best();
-        while (winner < candidates.size() && !aborted[winner]) {
-            const BaiArm &raced = halving.arm(winner);
-            bool capped = raced.chunksPulled >= budgetChunks;
-            bool settled = last[winner].significant &&
-                           last[winner].samplesUsed >=
-                               spec.minSamplesPerTest;
-            if (settled || capped)
-                break;
-            pullSurvivors({winner}, /*stopAtVerdict=*/true);
-        }
-
-        if (winner < candidates.size() && !aborted[winner]) {
-            const ABTestResult &state = last[winner];
+        if (winner < contest.candidates.size()) {
+            const ABTestResult &state = contest.arms[winner].last;
             if (state.significant && state.pairedDiffs.mean() > 0.0 &&
                 state.samplesB.mean() > bestMean) {
                 bestMean = state.samplesB.mean();
-                bestConfig = candidates[winner];
+                bestConfig = contest.candidates[winner];
             }
         }
-
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            const BaiArm &raced = halving.arm(i);
-            std::uint64_t used = raced.gains.count();
-            samplesSaved +=
-                spec.maxSamplesPerTest > used
-                    ? spec.maxSamplesPerTest - used
-                    : 0;
-            if (raced.eliminated && raced.chunksPulled < budgetChunks)
-                earlyStops += 1;
-        }
+        earlyStops = halving.earlyStops();
+        for (std::size_t i = 0; i < halving.armCount(); ++i)
+            samplesSaved += halving.samplesSaved(i);
     }
 
     metrics_.counter("sweep.early_stops").add(earlyStops);
     metrics_.counter("sweep.samples_saved").add(samplesSaved);
     span.arg("early_stops", earlyStops);
     span.arg("combinations",
-             static_cast<std::uint64_t>(candidates.size()));
+             static_cast<std::uint64_t>(contest.candidates.size()));
 
     collapseToBest(map, plan, bestConfig, bestMean);
     return map;

@@ -236,12 +236,9 @@ class Usku
     struct ChunkPull
     {
         Comparison task;
-        std::uint64_t ordinal = 0;
-        std::uint64_t target = 0;
-        /** Let the window stop at the fixed protocol's verdict; the
-         *  driver clears this for incumbent-continuation pulls past a
-         *  parked verdict. */
-        bool stopAtVerdict = true;
+        /** Ordinal, cumulative target and stop rule, as the best-arm
+         *  engine set them (BaiArmSet::pull). */
+        BaiPull chunk;
     };
 
     /**
@@ -298,6 +295,11 @@ class Usku
     DesignSpaceMap sweepHillClimb(const TestPlan &plan,
                                   const KnobConfig &baseline,
                                   const InputSpec &spec);
+    /** Drive @p contests to their decisions in lockstep: each round
+     *  measures every pending arm of every contest as one batch, then
+     *  feeds the results back to the engines (see core/bai.hh). */
+    void runContests(std::vector<struct Contest> &contests,
+                     const KnobConfig &baseline, const InputSpec &spec);
     /** Racing / successive elimination over each knob's arms
      *  (spec.search == Race; see core/bai.hh). */
     DesignSpaceMap sweepRace(const TestPlan &plan,

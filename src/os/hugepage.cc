@@ -12,12 +12,10 @@ ThpMode
 thpModeFromString(const std::string &text)
 {
     std::string m = toLower(text);
-    if (m == "madvise")
-        return ThpMode::Madvise;
-    if (m == "always")
-        return ThpMode::Always;
-    if (m == "never")
-        return ThpMode::Never;
+    for (ThpMode mode : allThpModes()) {
+        if (thpModeName(mode) == m)
+            return mode;
+    }
     fatal("unknown THP mode '%s'", text.c_str());
 }
 
@@ -30,6 +28,12 @@ thpModeName(ThpMode mode)
       case ThpMode::Never: return "never";
     }
     panic("unreachable THP mode");
+}
+
+std::vector<ThpMode>
+allThpModes()
+{
+    return {ThpMode::Madvise, ThpMode::Always, ThpMode::Never};
 }
 
 HugePagePolicy
@@ -47,22 +51,6 @@ HugePagePolicy::applyTo(KernelFs &fs) const
     fs.setThpMode(thpModeName(thp));
     fs.setNrHugepages(shpCount);
 }
-
-namespace {
-
-/** Stable 64-bit mix for the per-chunk huge/regular decision. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ULL;
-    x ^= x >> 33;
-    return x;
-}
-
-} // namespace
 
 bool
 RegionMapping::isHugeAddress(std::uint64_t addr) const

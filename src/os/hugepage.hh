@@ -30,6 +30,9 @@ ThpMode thpModeFromString(const std::string &text);
 /** Kernel-style name of a THP mode. */
 std::string thpModeName(ThpMode mode);
 
+/** All modes, in the order the knob sweep lists them. */
+std::vector<ThpMode> allThpModes();
+
 constexpr std::uint64_t kPage4k = 4ull * 1024;
 constexpr std::uint64_t kPage2m = 2ull * 1024 * 1024;
 

@@ -1,7 +1,6 @@
 #include "prefetch/config.hh"
 
 #include "util/logging.hh"
-#include "util/strings.hh"
 
 namespace softsku {
 
@@ -47,17 +46,6 @@ prefetcherPresetKey(PrefetcherPreset preset)
       case PrefetcherPreset::L2StreamAndDcu: return "l2stream_dcu";
     }
     panic("unreachable prefetcher preset");
-}
-
-PrefetcherPreset
-prefetcherPresetFromKey(const std::string &key)
-{
-    std::string k = toLower(key);
-    for (PrefetcherPreset preset : allPrefetcherPresets()) {
-        if (prefetcherPresetKey(preset) == k)
-            return preset;
-    }
-    fatal("unknown prefetcher preset '%s'", key.c_str());
 }
 
 std::vector<PrefetcherPreset>

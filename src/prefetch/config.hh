@@ -30,10 +30,6 @@ PrefetcherSet prefetcherSetFor(PrefetcherPreset preset);
 /** Paper-style label, e.g. "DCU & DCU IP on". */
 std::string prefetcherPresetName(PrefetcherPreset preset);
 
-/** Parse a preset from its registry key (all_off, all_on, dcu_dcuip,
- *  dcu_only, l2stream_dcu); fatal() on unknown keys. */
-PrefetcherPreset prefetcherPresetFromKey(const std::string &key);
-
 /** Registry key for a preset. */
 std::string prefetcherPresetKey(PrefetcherPreset preset);
 

@@ -10,17 +10,6 @@ namespace softsku {
 
 namespace {
 
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ULL;
-    x ^= x >> 33;
-    return x;
-}
-
 /** Salt separating the fault streams from the measurement-noise ones. */
 constexpr std::uint64_t kFaultSalt = 0xFA17FA17FA17FA17ULL;
 

@@ -6,21 +6,11 @@
 #include <utility>
 
 #include "util/logging.hh"
+#include "util/strings.hh"
 
 namespace softsku {
 
 namespace {
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ULL;
-    x ^= x >> 33;
-    return x;
-}
 
 /**
  * One memoized stage: each key's value is computed once, by the first

@@ -6,6 +6,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
+#include "util/strings.hh"
 
 namespace softsku {
 
@@ -35,12 +36,7 @@ OdsStore::shardIndex(const std::string &series) const
 {
     // FNV-1a: cheap, deterministic across runs/platforms (unlike
     // std::hash), and well-mixed for the short dotted names ODS uses.
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : series) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return static_cast<size_t>(h % shards_.size());
+    return static_cast<size_t>(fnv1a64(series) % shards_.size());
 }
 
 void

@@ -48,6 +48,20 @@ std::string join(const std::vector<std::string> &parts,
 /** Stable 64-bit FNV-1a hash of @p text (same value on every build). */
 std::uint64_t fnv1a64(std::string_view text);
 
+/** Stable 64-bit finalizer (MurmurHash3's fmix64): spreads every input
+ *  bit over the whole word, the same value on every build.  Inline: the
+ *  simulator's per-access paths call it. */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xFF51AFD7ED558CCDULL;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ULL;
+    x ^= x >> 33;
+    return x;
+}
+
 } // namespace softsku
 
 #endif // SOFTSKU_UTIL_STRINGS_HH

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hh"
+#include "util/strings.hh"
 
 namespace softsku {
 
@@ -10,17 +11,6 @@ namespace {
 
 constexpr std::uint64_t kInsnBytes = 4;
 constexpr size_t kMaxCallDepth = 16;
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ULL;
-    x ^= x >> 33;
-    return x;
-}
 
 } // namespace
 

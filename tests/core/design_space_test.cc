@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/configurator.hh"
 #include "core/design_space.hh"
 #include "core/input_spec.hh"
 #include "services/services.hh"
+#include "util/json.hh"
 
 namespace softsku {
 namespace {
@@ -156,6 +162,176 @@ TEST(InputSpecDeathTest, MalformedInputsFatal)
     spec.microservice = "web";
     spec.confidence = 1.5;
     EXPECT_EXIT(spec.validate(), testing::ExitedWithCode(1), "confidence");
+}
+
+/** A spec whose every serialized member differs from its default. */
+InputSpec
+fullSpec()
+{
+    InputSpec spec;
+    spec.microservice = "web";
+    spec.platform = "skylake18";
+    spec.sweep = SweepMode::HillClimb;
+    spec.knobs = {KnobId::Cdp, KnobId::Thp};
+    spec.confidence = 0.99;
+    spec.maxSamplesPerTest = 5000;
+    spec.minSamplesPerTest = 300;
+    spec.warmupSamples = 50;
+    spec.sampleSpacingSec = 2.0;
+    spec.validationDurationSec = 7200.0;
+    spec.seed = 77;
+    spec.search = SearchMode::Halving;
+    spec.raceChunkSamples = 250;
+    return spec;
+}
+
+/** @p doc with @p path ("key" or "sweep.key") set to @p value, or
+ *  removed when @p value is null. */
+Json
+withMember(const Json &doc, const std::string &path, const Json *value)
+{
+    std::size_t dot = path.find('.');
+    std::string key = path.substr(0, dot);
+    Json out = Json::object();
+    for (const auto &[name, member] : doc.members()) {
+        if (name != key)
+            out.set(name, member);
+        else if (dot != std::string::npos)
+            out.set(name, withMember(member, path.substr(dot + 1), value));
+        else if (value)
+            out.set(name, *value);
+    }
+    if (value && !doc.contains(key))
+        out.set(key, *value);
+    return out;
+}
+
+/** Every member of the input document, with its JSON type. */
+const std::vector<std::pair<std::string, Json::Type>> &
+specMembers()
+{
+    static const std::vector<std::pair<std::string, Json::Type>> members =
+        {{"microservice", Json::Type::String},
+         {"platform", Json::Type::String},
+         {"sweep", Json::Type::Object},
+         {"sweep.mode", Json::Type::String},
+         {"sweep.knobs", Json::Type::Array},
+         {"confidence", Json::Type::Number},
+         {"max_samples", Json::Type::Number},
+         {"min_samples", Json::Type::Number},
+         {"warmup_samples", Json::Type::Number},
+         {"sample_spacing_sec", Json::Type::Number},
+         {"validation_duration_sec", Json::Type::Number},
+         {"seed", Json::Type::Number},
+         {"search", Json::Type::String},
+         {"race_chunk_samples", Json::Type::Number}};
+    return members;
+}
+
+TEST(InputSpec, DeletedMembersKeepTheirDefaults)
+{
+    const InputSpec full = fullSpec();
+    const InputSpec defaults;
+    // What deleting each optional member must leave: the full spec
+    // with just that field back at its default.
+    const std::vector<std::pair<std::string,
+                                std::function<void(InputSpec &)>>>
+        resets = {
+            {"sweep",
+             [&](InputSpec &s) {
+                 s.sweep = defaults.sweep;
+                 s.knobs.clear();
+             }},
+            {"sweep.mode", [&](InputSpec &s) { s.sweep = defaults.sweep; }},
+            {"sweep.knobs", [&](InputSpec &s) { s.knobs.clear(); }},
+            {"confidence",
+             [&](InputSpec &s) { s.confidence = defaults.confidence; }},
+            {"max_samples",
+             [&](InputSpec &s) {
+                 s.maxSamplesPerTest = defaults.maxSamplesPerTest;
+             }},
+            {"min_samples",
+             [&](InputSpec &s) {
+                 s.minSamplesPerTest = defaults.minSamplesPerTest;
+             }},
+            {"warmup_samples",
+             [&](InputSpec &s) { s.warmupSamples = defaults.warmupSamples; }},
+            {"sample_spacing_sec",
+             [&](InputSpec &s) {
+                 s.sampleSpacingSec = defaults.sampleSpacingSec;
+             }},
+            {"validation_duration_sec",
+             [&](InputSpec &s) {
+                 s.validationDurationSec = defaults.validationDurationSec;
+             }},
+            {"seed", [&](InputSpec &s) { s.seed = defaults.seed; }},
+            {"search", [&](InputSpec &s) { s.search = defaults.search; }},
+            {"race_chunk_samples",
+             [&](InputSpec &s) {
+                 s.raceChunkSamples = defaults.raceChunkSamples;
+             }},
+        };
+    const Json doc = full.toJson();
+    for (const auto &[path, reset] : resets) {
+        InputSpec expected = full;
+        reset(expected);
+        expected.normalize();
+        InputSpec parsed = InputSpec::fromJson(withMember(doc, path, nullptr));
+        EXPECT_EQ(parsed.toJson().dump(), expected.toJson().dump()) << path;
+        EXPECT_EQ(parsed.search, expected.search) << path;
+        EXPECT_EQ(parsed.raceChunkSamples, expected.raceChunkSamples)
+            << path;
+    }
+}
+
+TEST(InputSpecDeathTest, WronglyTypedMembersFail)
+{
+    const Json doc = fullSpec().toJson();
+    Json array = Json::array();
+    array.push(Json("thp"));
+    const std::vector<Json> samples = {Json(), Json(true), Json(1.0),
+                                       Json("x"), array, Json::object()};
+    for (const auto &[path, type] : specMembers()) {
+        std::string key = path.substr(path.find('.') + 1);
+        for (const Json &value : samples) {
+            if (value.type() == type)
+                continue;
+            EXPECT_EXIT(InputSpec::fromJson(withMember(doc, path, &value)),
+                        testing::ExitedWithCode(1), "'" + key + "' must be")
+                << path;
+        }
+    }
+    // The document itself, and each knob name, are typed too.
+    EXPECT_EXIT(InputSpec::fromJson(array), testing::ExitedWithCode(1),
+                "JSON object");
+    Json knobs = Json::array();
+    knobs.push(Json(7.0));
+    EXPECT_EXIT(InputSpec::fromJson(withMember(doc, "sweep.knobs", &knobs)),
+                testing::ExitedWithCode(1), "knob names");
+    // Required members have no default to fall back on.
+    EXPECT_EXIT(InputSpec::fromJson(withMember(doc, "microservice", nullptr)),
+                testing::ExitedWithCode(1), "required");
+    EXPECT_EXIT(InputSpec::fromJson(withMember(doc, "platform", nullptr)),
+                testing::ExitedWithCode(1), "required");
+}
+
+TEST(InputSpecDeathTest, CountsMustBeExactIntegers)
+{
+    const Json doc = fullSpec().toJson();
+    const char *counts[] = {"max_samples", "min_samples", "warmup_samples",
+                            "seed", "race_chunk_samples"};
+    for (const char *key : counts) {
+        for (double bad : {-1.0, 1.5, 9007199254740994.0}) {
+            Json value(bad);
+            EXPECT_EXIT(InputSpec::fromJson(withMember(doc, key, &value)),
+                        testing::ExitedWithCode(1), "must be an integer")
+                << key << " = " << bad;
+        }
+    }
+    // 2^53 itself is the largest count a JSON number holds exactly.
+    Json top(9007199254740992.0);
+    EXPECT_EQ(InputSpec::fromJson(withMember(doc, "seed", &top)).seed,
+              std::uint64_t(1) << 53);
 }
 
 TEST(InputSpec, NormalizeFillsAllKnobs)

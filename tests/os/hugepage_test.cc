@@ -35,6 +35,9 @@ TEST(HugePage, ThpModeParsing)
     EXPECT_EQ(thpModeFromString("always"), ThpMode::Always);
     EXPECT_EQ(thpModeFromString("MADVISE"), ThpMode::Madvise);
     EXPECT_EQ(thpModeName(ThpMode::Never), "never");
+    for (ThpMode mode : allThpModes())
+        EXPECT_EQ(thpModeFromString(thpModeName(mode)), mode);
+    EXPECT_EQ(allThpModes().size(), 3u);
 }
 
 TEST(HugePage, PolicyKernelFsRoundTrip)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "prefetch/config.hh"
 #include "prefetch/prefetcher.hh"
 
@@ -133,17 +136,12 @@ TEST(Presets, MatchPaperConfigurations)
 
 TEST(Presets, KeyRoundTrip)
 {
-    for (PrefetcherPreset preset : allPrefetcherPresets()) {
-        EXPECT_EQ(prefetcherPresetFromKey(prefetcherPresetKey(preset)),
-                  preset);
-    }
+    // The knob registry decodes a preset by searching these keys, so
+    // each must name exactly one preset.
+    std::set<std::string> keys;
+    for (PrefetcherPreset preset : allPrefetcherPresets())
+        EXPECT_TRUE(keys.insert(prefetcherPresetKey(preset)).second);
     EXPECT_EQ(allPrefetcherPresets().size(), 5u);
-}
-
-TEST(PresetsDeathTest, UnknownKeyIsFatal)
-{
-    EXPECT_EXIT(prefetcherPresetFromKey("turbo"),
-                testing::ExitedWithCode(1), "unknown prefetcher preset");
 }
 
 } // namespace
