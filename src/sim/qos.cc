@@ -66,11 +66,11 @@ solveOperatingPoint(const WorkloadProfile &profile,
                     profile.request.sloLatencyMultiplier;
     op.sloLatencySec = sloSec;
 
-    // The most load the hardware could serve ignoring latency.
+    // The most load the hardware could serve ignoring latency: one
+    // request's CPU time per hardware context.
     double cpuPerRequest = profile.request.requestLatencySec *
                            profile.request.runningFraction;
-    double serviceRateCap =
-        static_cast<double>(cores) * platform.smtWays / cpuPerRequest;
+    double serviceRateCap = static_cast<double>(cores) / cpuPerRequest;
 
     // Binary search the largest arrival rate whose p99 meets the SLO
     // and whose utilization stays below the service's cap.
