@@ -280,11 +280,10 @@ abCacheContext(const ProductionEnvironment &env, const InputSpec &spec,
                   static_cast<unsigned long long>(spec.minSamplesPerTest),
                   static_cast<unsigned long long>(spec.warmupSamples),
                   hexBits(spec.sampleSpacingSec).c_str());
-    out += format(" robust=%d/%d/%s/%d/%s/%s", robust.maxRetries,
+    out += format(" robust=%d/%d/%s/%d/%s", robust.maxRetries,
                   robust.robustFilter ? 1 : 0,
                   hexBits(robust.madCutoff).c_str(),
                   robust.qosGuardrail ? 1 : 0,
-                  hexBits(robust.qosMarginFraction).c_str(),
                   hexBits(robust.minPeakQpsFraction).c_str());
     out += format(" faults=%s/%s/%s/%s/%s/%s/%s/%s/%s/%s/%s seed=%llu",
                   hexBits(plan.crashPerHour).c_str(),

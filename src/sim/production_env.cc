@@ -58,10 +58,9 @@ class Memo
 } // namespace
 
 /**
- * Pricing a configuration is three stages, each memoized on exactly
- * what it reads:
+ * Pricing a configuration is two stages, each memoized on exactly what
+ * it reads:
  *
- *  - the QoS solve reads the active core count alone;
  *  - the event pass reads the eventKnobs() projection (cores, CDP,
  *    prefetchers, THP, SHP);
  *  - the roll-up reads the event pass and the full actuated
@@ -69,7 +68,6 @@ class Memo
  */
 struct ProductionEnvironment::SimulationCache
 {
-    Memo<int, ServiceOperatingPoint> operatingPoints;
     Memo<KnobConfig, EventSummary> eventPasses;
     Memo<KnobConfig, CounterSet> entries;
 };
@@ -114,12 +112,6 @@ ProductionEnvironment::eventPasses() const
     return cache_->eventPasses.size();
 }
 
-size_t
-ProductionEnvironment::qosSolves() const
-{
-    return cache_->operatingPoints.size();
-}
-
 ProductionEnvironment
 ProductionEnvironment::clone(std::uint64_t streamId) const
 {
@@ -131,17 +123,6 @@ ProductionEnvironment::clone(std::uint64_t streamId) const
     // parent has already drawn.
     slice.injector_ = injector_.forStream(streamId);
     return slice;
-}
-
-const ServiceOperatingPoint &
-ProductionEnvironment::operatingPoint(const KnobConfig &config)
-{
-    // The solve needs no simulation, so a candidate the guardrail
-    // aborts is never simulated.
-    const int cores = config.resolvedCores(platform_);
-    return cache_->operatingPoints.get(cores, [&] {
-        return solveOperatingPoint(profile_, platform_, seed_, cores);
-    });
 }
 
 void

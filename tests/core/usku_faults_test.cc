@@ -142,5 +142,24 @@ TEST(UskuFaults, QosGuardrailAbortsCapacityCollapse)
               report.production.activeCores);
 }
 
+TEST(UskuFaults, GuardrailAbortsCostNoPricing)
+{
+    // The guardrail decides before a candidate is priced: every
+    // configuration the hostile sweep evaluates is simulated, except
+    // the ones it aborts.
+    InputSpec spec = webSpec({KnobId::CoreCount, KnobId::Thp});
+    ProductionEnvironment env(webProfile(), skylake18(), 1,
+                              fastOptions());
+    UskuOptions options;
+    options.jobs = 2;
+    options.faults = FaultPlan::fromSpec("moderate");
+    options.faultSeed = 9;
+    Usku tool(env, options);
+    UskuReport report = tool.run(spec);
+    EXPECT_GT(report.faults.guardrailAborts, 0u);
+    EXPECT_EQ(env.configsSimulated(),
+              report.configsEvaluated - report.faults.guardrailAborts);
+}
+
 } // namespace
 } // namespace softsku

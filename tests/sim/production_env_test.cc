@@ -173,35 +173,6 @@ nonEventVariants(const KnobConfig &base)
     return out;
 }
 
-TEST(ProductionEnv, QosSolvedOncePerCoreCount)
-{
-    const PlatformSpec &platform = skylake18();
-    ProductionEnvironment env(ads2Profile(), platform, 3, fastOptions());
-    KnobConfig base = productionConfig(platform, ads2Profile());
-    KnobConfig other = base;
-    other.coreFreqGHz = 1.7;
-    other.thp = ThpMode::Never;
-    other.cdp = {true, 4, 7};
-    other.activeCores = platform.totalCores();   // "all", spelled out
-
-    const ServiceOperatingPoint &op = env.operatingPoint(base);
-    EXPECT_EQ(&env.operatingPoint(other), &op);
-    EXPECT_EQ(env.qosSolves(), 1u);
-    EXPECT_EQ(env.configsSimulated(), 0u);
-
-    ServiceOperatingPoint direct =
-        solveOperatingPoint(ads2Profile(), platform, 3, 0);
-    EXPECT_EQ(op.peakQps, direct.peakQps);
-    EXPECT_EQ(op.meanLatencySec, direct.meanLatencySec);
-    EXPECT_EQ(op.p99LatencySec, direct.p99LatencySec);
-    EXPECT_EQ(op.cpuUtilization, direct.cpuUtilization);
-
-    KnobConfig fewer = base;
-    fewer.activeCores = 8;
-    env.clone(5).operatingPoint(fewer);
-    EXPECT_EQ(env.qosSolves(), 2u);
-}
-
 TEST(ProductionEnv, NonEventKnobsShareOneEventPass)
 {
     const PlatformSpec &platform = skylake18cxl();
@@ -248,7 +219,6 @@ TEST(ProductionEnv, ConcurrentPricingRunsEachStageOnce)
                 const KnobConfig &config =
                     configs[(i + static_cast<size_t>(t)) % configs.size()];
                 seen[t].push_back(slice.trueMips(config));
-                slice.operatingPoint(config);
             }
         });
     }
@@ -257,7 +227,6 @@ TEST(ProductionEnv, ConcurrentPricingRunsEachStageOnce)
 
     EXPECT_EQ(env.configsSimulated(), configs.size());
     EXPECT_EQ(env.eventPasses(), 2u);
-    EXPECT_EQ(env.qosSolves(), 1u);
     for (int t = 0; t < kThreads; ++t) {
         for (size_t i = 0; i < configs.size(); ++i) {
             EXPECT_EQ(seen[t][i],
